@@ -9,8 +9,7 @@ from .merge import (MergeConfig, MergeMethod, MergeReport, baseline_pre_merge,
                     merge_sets, merge_target, premerge_postmerge_gap)
 from .model import TinyModel, forward
 from .storage import load_adapter_set, load_merge_report, save_adapter_set, save_merge_report
-from .train import (TrainConfig, TrainResult, evaluate, finetune_from,
-                    gradients, loss, train_adapter)
+from .train import TrainConfig, TrainResult, evaluate, gradients, loss, train_adapter
 
 __all__ = [
     "AdapterSet", "ModelSignature", "SvdLoraAdapter", "TargetId",
@@ -22,8 +21,7 @@ __all__ = [
     "merge_sets", "merge_target", "premerge_postmerge_gap",
     "TinyModel", "forward",
     "load_adapter_set", "load_merge_report", "save_adapter_set", "save_merge_report",
-    "TrainConfig", "TrainResult", "evaluate", "finetune_from",
-    "gradients", "loss", "train_adapter",
+    "TrainConfig", "TrainResult", "evaluate", "gradients", "loss", "train_adapter",
 ]
 
 __version__ = "0.1.0"

@@ -4,6 +4,8 @@ An adapter holds factors (B, E, A) for one target weight matrix and
 contributes a delta ``B @ diag(E) @ A`` on top of the frozen weight. E is
 stored as a length-r vector; B and A are only approximately orthonormal
 while training and are restored to an exact SVD by :func:`canonicalize`.
+:func:`svd_factors` is the only route from factors to SVD form: merging,
+task arithmetic, merge reports and ``inspect`` all go through it.
 """
 
 from __future__ import annotations
@@ -120,25 +122,39 @@ def apply(a: SvdLoraAdapter, w: np.ndarray, x: np.ndarray) -> np.ndarray:
     return w @ x + a.B @ (a.E[:, None] * (a.A @ x))
 
 
+def svd_factors(B: np.ndarray, E: np.ndarray, A: np.ndarray) -> linalg.SvdFactors:
+    """Thin SVD of ``B @ diag(E) @ A`` without forming the product.
+
+    The package's one route to SVD form: QR-factor B and A.T, then SVD the
+    small core, so the dense SVD never exceeds the inner width r. r may
+    exceed min(d_m, d_n), as for a stack of several adapters; the result
+    then has min(d_m, d_n) components. Zero components are kept.
+    """
+    qb, rb = np.linalg.qr(B)
+    qa, ra = np.linalg.qr(A.T)
+    f = linalg.svd((rb * E) @ ra.T)
+    return linalg.SvdFactors(U=qb @ f.U, S=f.S, V=qa @ f.V)
+
+
+def from_svd(target: TargetId, f: linalg.SvdFactors) -> SvdLoraAdapter:
+    """Adapter with B = U, E = S, A = V.T."""
+    return SvdLoraAdapter(target=target, B=f.U, E=f.S, A=f.V.T)
+
+
+def drop_zeros(f: linalg.SvdFactors) -> linalg.SvdFactors:
+    """Drop components at or below 1e-15 of the largest, keeping at least one."""
+    keep = f.S > f.S[0] * 1e-15 if f.S[0] > 0 else np.zeros(len(f.S), dtype=bool)
+    k = max(1, int(keep.sum()))
+    return linalg.SvdFactors(U=f.U[:, :k], S=f.S[:k].copy(), V=f.V[:, :k])
+
+
 def canonicalize(a: SvdLoraAdapter) -> SvdLoraAdapter:
     """Restore exact SVD structure without changing the delta.
 
-    QR-factors B and A.T, SVD-decomposes the small r-by-r core, and drops
-    exactly-zero singular values (keeping at least rank 1). The output has
+    :func:`svd_factors`, then :func:`drop_zeros`. The output has
     orthonormal B columns / A rows and a non-negative, non-increasing E.
     """
-    qb, rb = np.linalg.qr(a.B)
-    qa, ra = np.linalg.qr(a.A.T)
-    core = (rb * a.E) @ ra.T
-    f = linalg.svd(core)
-    keep = f.S > f.S[0] * 1e-15 if f.S[0] > 0 else np.zeros(len(f.S), dtype=bool)
-    k = max(1, int(keep.sum()))
-    return SvdLoraAdapter(
-        target=a.target,
-        B=qb @ f.U[:, :k],
-        E=f.S[:k].copy(),
-        A=(qa @ f.V[:, :k]).T,
-    )
+    return from_svd(a.target, drop_zeros(svd_factors(a.B, a.E, a.A)))
 
 
 def is_canonical(a: SvdLoraAdapter, atol: float = 1e-8) -> bool:

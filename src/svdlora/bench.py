@@ -14,9 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
-from .adapter import AdapterSet, ModelSignature, SvdLoraAdapter, TargetId
+from .adapter import AdapterSet
 from .data import TaskSpec, generate_task
 from .merge import (MergeConfig, MergeMethod, baseline_pre_merge_sets,
                     baseline_task_arithmetic, merge_sets)
@@ -80,19 +78,6 @@ def default_suite() -> BenchSuite:
                       held_out_tasks=held_out)
 
 
-def dense_deltas_to_set(deltas: dict[TargetId, np.ndarray],
-                        signature: ModelSignature) -> AdapterSet:
-    """Wrap dense per-target deltas as full-rank adapters for evaluation."""
-    adapters = {}
-    for tid, dm in deltas.items():
-        d_m, d_n = dm.shape
-        adapters[tid] = SvdLoraAdapter(
-            target=tid, B=dm.copy(), E=np.ones(min(d_m, d_n)), A=np.eye(d_n)
-        )
-    return AdapterSet(signature=signature, adapters=adapters,
-                      metadata={"kind": "merged", "method": "task-arith"})
-
-
 def _train_job(args) -> tuple[tuple, TrainResult]:
     key, model, spec, cfg, init = args
     return key, train_adapter(model, spec, cfg, init=init)
@@ -141,9 +126,7 @@ def run_merge_experiment(model: TinyModel, tasks: tuple[TaskSpec, ...],
                  for t, sp in zip(tasks, specialists)}
         med, _ = merge_sets(specialists, MergeConfig(method=MergeMethod.MED_LEGO))
         pre = baseline_pre_merge_sets(specialists)
-        arith = dense_deltas_to_set(
-            baseline_task_arithmetic(specialists), model.signature
-        )
+        arith = baseline_task_arithmetic(specialists)
         merged = {"med-lego": med, "pre-avg": pre, "task-arith": arith}
         accs: dict[str, dict[str, float]] = {"specialist": {}}
         for t, sp in zip(tasks, specialists):

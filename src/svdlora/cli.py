@@ -13,17 +13,15 @@ from pathlib import Path
 import numpy as np
 
 from . import bench as bench_mod
-from .adapter import AdapterSet, SvdLoraAdapter, init_adapter, param_count
+from .adapter import SvdLoraAdapter, init_adapter, param_count, svd_factors
 from .data import TaskSpec, generate_task
 from .errors import ToolkitError
-from .linalg import svd
 from .merge import (MergeConfig, MergeMethod, MergeReport, TargetRecord,
                     baseline_pre_merge_sets, baseline_task_arithmetic,
-                    merge_sets, premerge_postmerge_gap)
-from .model import TinyModel
+                    full_spectrum, merge_sets, premerge_postmerge_gap)
+from .model import TinyModel, backbone_param_count
 from .storage import load_adapter_set, save_adapter_set, save_merge_report
 from .train import TrainConfig, curve_csv_lines, evaluate, train_adapter
-from .adapter import delta as adapter_delta
 
 DEFAULT_BACKBONE_SEED = 7
 
@@ -97,16 +95,14 @@ def cmd_merge(args) -> int:
     else:
         if method is MergeMethod.PRE_MERGE_AVERAGE:
             merged = baseline_pre_merge_sets(sets)
-        else:  # task arithmetic: dense deltas wrapped full-rank
-            deltas = baseline_task_arithmetic(sets, args.lam)
-            merged = bench_mod.dense_deltas_to_set(deltas, sets[0].signature)
+        else:
+            merged = baseline_task_arithmetic(sets, args.lam)
         report = MergeReport(config=cfg, input_digests=[s.digest() for s in sets])
         for tid in merged.sorted_targets():
             a = merged.adapters[tid]
-            f = svd(adapter_delta(a))
             report.records.append(TargetRecord(
                 target=tid, input_ranks=tuple(s.adapters[tid].rank for s in sets),
-                spectrum=tuple(float(v) for v in f.S),
+                spectrum=full_spectrum(svd_factors(a.B, a.E, a.A)),
                 kept_rank=a.rank, retained_mass=1.0,
             ))
     save_adapter_set(merged, args.out)
@@ -173,19 +169,16 @@ def cmd_inspect(args) -> int:
           f"config_digest={sig.config_digest}")
     for key in sorted(s.metadata):
         print(f"metadata.{key}={s.metadata[key]}")
-    # Backbone size from the signature geometry (attention 4d^2 + MLP 8d^2
-    # per layer, matching the toy backbone).
-    base = 12 * sig.embed_dim * sig.embed_dim * sig.num_layers
     if s.adapters:
-        count, fraction = param_count(s, base)
+        count, fraction = param_count(
+            s, backbone_param_count(sig.embed_dim, sig.num_layers))
     else:
         count, fraction = 0, 0.0
     print(f"param_count={count}")
     print(f"param_fraction={fraction:.6f}")
     for tid in s.sorted_targets():
         a = s.adapters[tid]
-        spectrum = svd(adapter_delta(a)).S
-        top = ",".join(f"{v:.6g}" for v in spectrum[: a.rank])
+        top = ",".join(f"{v:.6g}" for v in svd_factors(a.B, a.E, a.A).S)
         print(f"{tid}: rank={a.rank} spectrum=[{top}]")
     if s.head_w is not None:
         print(f"head: shape={s.head_w.shape[0]}x{s.head_w.shape[1]}")
@@ -215,8 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("merge", help="merge trained adapter files")
     p.add_argument("--inputs", nargs="+", required=True)
-    p.add_argument("--method", choices=[m.value for m in MergeMethod
-                                        if m is not MergeMethod.POST_MERGE_FULL],
+    p.add_argument("--method", choices=[m.value for m in MergeMethod],
                    default=MergeMethod.MED_LEGO.value)
     p.add_argument("--threshold", type=_fraction, default=0.997)
     p.add_argument("--max-rank", type=_positive_int, default=None)

@@ -1,9 +1,12 @@
 """Training-free merging of adapter sets.
 
-The main route averages the dense deltas of all inputs, SVD-decomposes the
+The main route averages the deltas of all inputs, SVD-decomposes the
 average, and keeps the leading components up to a cumulative singular-mass
-threshold. Baselines: factor-wise (pre-multiplication) averaging, and task
-arithmetic on the dense deltas.
+threshold. The average is never formed densely: the inputs are stacked
+into one wide adapter (``[B_i]``, ``[E_i]/N``, ``[A_i]``) whose SVD comes
+from :func:`adapter.svd_factors`, the package's one route to SVD form.
+Baselines: factor-wise (pre-multiplication) averaging, and task arithmetic,
+which is the same stack scaled by lambda with every non-zero component kept.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from enum import Enum
 import numpy as np
 
 from . import linalg
-from .adapter import AdapterSet, SvdLoraAdapter, TargetId, delta
+from .adapter import (AdapterSet, SvdLoraAdapter, TargetId, delta, drop_zeros,
+                      from_svd, svd_factors)
 from .errors import MergeError, ParameterError
 
 
@@ -28,7 +32,6 @@ class MergeMethod(Enum):
 
     MED_LEGO = "med-lego"
     PRE_MERGE_AVERAGE = "pre-avg"
-    POST_MERGE_FULL = "post-avg"
     TASK_ARITHMETIC = "task-arith"
 
 
@@ -63,7 +66,7 @@ class TargetRecord:
 
     target: TargetId
     input_ranks: tuple[int, ...]
-    spectrum: tuple[float, ...]  # full singular values of the averaged delta
+    spectrum: tuple[float, ...]  # full spectrum, zero past sum(input_ranks)
     kept_rank: int
     retained_mass: float
 
@@ -98,6 +101,22 @@ def _check_same_shape(adapters: list[SvdLoraAdapter]) -> None:
         raise MergeError(f"adapters have mismatched shapes: {targets}")
 
 
+def _stacked_svd(adapters: list[SvdLoraAdapter], scale: float) -> linalg.SvdFactors:
+    """SVD of ``scale * sum_i delta_i`` from the stacked factors.
+
+    The stack has inner width sum_i r_i, which may exceed min(d_m, d_n).
+    """
+    return svd_factors(np.hstack([a.B for a in adapters]),
+                       scale * np.concatenate([a.E for a in adapters]),
+                       np.vstack([a.A for a in adapters]))
+
+
+def full_spectrum(f: linalg.SvdFactors) -> tuple[float, ...]:
+    """Singular values padded with exact zeros to min(d_m, d_n) entries."""
+    width = min(f.U.shape[0], f.V.shape[0])
+    return tuple(float(s) for s in f.S) + (0.0,) * (width - f.rank)
+
+
 def merge_target(adapters: list[SvdLoraAdapter],
                  cfg: MergeConfig) -> tuple[SvdLoraAdapter, TargetRecord]:
     """Average deltas, decompose, and truncate by singular mass.
@@ -109,26 +128,18 @@ def merge_target(adapters: list[SvdLoraAdapter],
     if not adapters:
         raise ParameterError("need at least one adapter to merge")
     _check_same_shape(adapters)
-    full = delta(adapters[0]).copy()
-    for a in adapters[1:]:
-        full += delta(a)
-    full /= len(adapters)
-
-    f = linalg.svd(full)
+    f = _stacked_svd(adapters, 1.0 / len(adapters))
     kept = linalg.truncate(f, cfg.threshold_v, cfg.max_rank)
     total = float(np.sum(f.S))
     retained = float(np.sum(kept.S)) / total if total > 0 else 1.0
-    merged = SvdLoraAdapter(
-        target=adapters[0].target, B=kept.U, E=kept.S, A=kept.V.T
-    )
     record = TargetRecord(
         target=adapters[0].target,
         input_ranks=tuple(a.rank for a in adapters),
-        spectrum=tuple(float(s) for s in f.S),
+        spectrum=full_spectrum(f),
         kept_rank=kept.rank,
         retained_mass=retained,
     )
-    return merged, record
+    return from_svd(adapters[0].target, kept), record
 
 
 def _check_compatible_sets(sets: list[AdapterSet]) -> list[TargetId]:
@@ -211,23 +222,25 @@ def baseline_pre_merge_sets(sets: list[AdapterSet]) -> AdapterSet:
 
 
 def baseline_task_arithmetic(sets: list[AdapterSet],
-                             lam: float | None = None) -> dict[TargetId, np.ndarray]:
-    """Scaled sum of per-task deltas, returned dense.
+                             lam: float | None = None) -> AdapterSet:
+    """Scaled sum of per-task deltas, as an exact low-rank adapter set.
 
     With the backbone frozen each task vector is exactly the adapter delta,
-    so task arithmetic reduces to ``lam * sum_i delta_i`` per target. The
-    result has no low-rank structure.
+    so task arithmetic reduces to ``lam * sum_i delta_i`` per target: the
+    stacked adapter, canonicalized, of rank at most sum_i r_i.
     """
     targets = _check_compatible_sets(sets)
     if lam is None:
         lam = 1.0 / len(sets)
-    out: dict[TargetId, np.ndarray] = {}
-    for t in targets:
-        acc = delta(sets[0].adapters[t]).copy()
-        for s in sets[1:]:
-            acc += delta(s.adapters[t])
-        out[t] = lam * acc
-    return out
+    merged = {
+        t: from_svd(t, drop_zeros(_stacked_svd([s.adapters[t] for s in sets], lam)))
+        for t in targets
+    }
+    return AdapterSet(
+        signature=sets[0].signature,
+        adapters=merged,
+        metadata={"kind": "merged", "method": MergeMethod.TASK_ARITHMETIC.value},
+    )
 
 
 def premerge_postmerge_gap(adapters: list[SvdLoraAdapter]) -> float:

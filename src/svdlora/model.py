@@ -21,6 +21,13 @@ from .adapter import AdapterSet, ModelSignature, SvdLoraAdapter, TargetId
 from .errors import DataError, ModelError
 
 _BACKBONE_TAG = 5551
+MLP_RATIO = 4  # hidden width of the MLP, in multiples of embed_dim
+
+
+def backbone_param_count(embed_dim: int, num_layers: int) -> int:
+    """Frozen weights per backbone: attention 4d^2 plus MLP 2*MLP_RATIO*d^2
+    per layer."""
+    return (4 + 2 * MLP_RATIO) * embed_dim * embed_dim * num_layers
 
 
 @dataclass(frozen=True)
@@ -39,7 +46,7 @@ class TinyModel:
     def __init__(self, embed_dim: int = 32, num_layers: int = 2, seed: int = 0):
         self.embed_dim = embed_dim
         self.num_layers = num_layers
-        self.hidden_dim = 4 * embed_dim
+        self.hidden_dim = MLP_RATIO * embed_dim
         self.seed = seed
         rng = np.random.default_rng([_BACKBONE_TAG, seed])
         d, h = embed_dim, self.hidden_dim
@@ -70,10 +77,7 @@ class TinyModel:
         ]
 
     def base_param_count(self) -> int:
-        return sum(
-            w.size for lw in self.layers
-            for w in (lw.Wq, lw.Wk, lw.Wv, lw.Wo, lw.W1, lw.W2)
-        )
+        return backbone_param_count(self.embed_dim, self.num_layers)
 
 
 def _check_signature(model: TinyModel, adapters: AdapterSet) -> None:

@@ -98,20 +98,19 @@ def save_adapter_set(s: AdapterSet, path) -> None:
         raise OSError(f"failed to write adapter file {path}: {exc}") from exc
 
 
-def _read_tensor(payload: bytes, entry: dict) -> np.ndarray:
-    shape = tuple(int(v) for v in entry["shape"])
+def _read_tensor(payload: bytes, name: str, shape: tuple[int, ...],
+                 offset: int, length: int) -> np.ndarray:
     expected = 8 * int(np.prod(shape)) if shape else 8
-    offset, length = int(entry["offset"]), int(entry["length"])
     if length != expected:
         raise CorruptionError(
-            f"tensor {entry['name']}: declared length {length} != shape {shape} bytes {expected}"
+            f"tensor {name}: declared length {length} != shape {shape} bytes {expected}"
         )
     raw = payload[offset:offset + length]
     if len(raw) != length:
-        raise CorruptionError(f"tensor {entry['name']}: payload truncated")
+        raise CorruptionError(f"tensor {name}: payload truncated")
     arr = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
     if not np.all(np.isfinite(arr)):
-        raise NumericError(f"tensor {entry['name']} contains non-finite values")
+        raise NumericError(f"tensor {name} contains non-finite values")
     return arr
 
 
@@ -141,11 +140,14 @@ def load_adapter_set(path) -> AdapterSet:
         raise CorruptionError(f"{path}: malformed header: {exc}") from exc
 
     payload = blob[_PREFIX.size + header_len:]
+    tensors: dict[str, np.ndarray] = {}
+    roles: dict[str, dict] = {}
     cursor = -1
     for entry in directory:
         try:
             offset, length = int(entry["offset"]), int(entry["length"])
             name = str(entry["name"])
+            shape = tuple(int(v) for v in entry["shape"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CorruptionError(f"{path}: malformed directory entry: {exc}") from exc
         if offset <= cursor:
@@ -153,12 +155,8 @@ def load_adapter_set(path) -> AdapterSet:
         if length < 0 or offset + length > len(payload):
             raise CorruptionError(f"{path}: tensor {name} out of payload bounds")
         cursor = offset + length - 1
-
-    tensors: dict[str, np.ndarray] = {}
-    roles: dict[str, dict] = {}
-    for entry in directory:
-        tensors[str(entry["name"])] = _read_tensor(payload, entry)
-        roles[str(entry["name"])] = entry
+        tensors[name] = _read_tensor(payload, name, shape, offset, length)
+        roles[name] = entry
 
     per_target: dict[TargetId, dict[str, np.ndarray]] = {}
     head_w = head_b = None

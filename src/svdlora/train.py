@@ -233,16 +233,6 @@ def train_adapter(model: TinyModel, spec: TaskSpec, cfg: TrainConfig,
     )
 
 
-def finetune_from(model: TinyModel, init: AdapterSet | None, spec: TaskSpec,
-                  cfg: TrainConfig) -> TrainResult:
-    """Fine-tune on a new task starting from a merged (or fresh) adapter set.
-
-    With ``init=None`` this is exactly :func:`train_adapter`; the learning
-    curve is retained in the result either way.
-    """
-    return train_adapter(model, spec, cfg, init=init)
-
-
 def curve_csv_lines(result: TrainResult) -> list[str]:
     lines = ["epoch,train_loss,val_acc"]
     for epoch, (tl, va) in enumerate(zip(result.train_losses, result.val_accs)):

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -158,5 +159,22 @@ class TestInspect:
     def test_corrupt_file_is_runtime_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.mlgo"
         bad.write_bytes(b"not an adapter file at all")
+        assert main(["inspect", "--input", str(bad)]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape", [None, "x"])
+    def test_malformed_shape_is_runtime_error(self, workdir, tmp_path, capsys, shape):
+        blob = (workdir / "a.mlgo").read_bytes()
+        magic, version, header_len = struct.unpack_from("<4sIQ", blob)
+        header = json.loads(blob[16:16 + header_len])
+        if shape is None:
+            del header["tensors"][0]["shape"]
+        else:
+            header["tensors"][0]["shape"] = shape
+        raw = json.dumps(header).encode()
+        raw += b" " * ((-len(raw)) % 8)
+        bad = tmp_path / "bad.mlgo"
+        bad.write_bytes(struct.pack("<4sIQ", magic, version, len(raw)) + raw
+                        + blob[16 + header_len:])
         assert main(["inspect", "--input", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from svdlora import merge as mg
 from svdlora.adapter import (AdapterSet, ModelSignature, SvdLoraAdapter,
-                             TargetId, canonicalize, delta, init_adapter)
+                             TargetId, canonicalize, delta, init_adapter,
+                             is_canonical)
 from svdlora.errors import MergeError, ParameterError
 
 
@@ -78,6 +79,28 @@ class TestMergeTarget:
         adapters = [random_adapter(i, r=2) for i in range(3)]
         merged, _ = mg.merge_target(adapters, mg.MergeConfig(threshold_v=1.0))
         assert merged.rank <= min(6, 8)
+
+    @pytest.mark.parametrize("ranks,shape", [
+        ((1, 2), (8, 8)),        # sum of ranks 3 < d: exact zeros past it
+        ((4, 1, 3, 2), (8, 8)),  # sum of ranks 10 > d, unequal ranks
+        ((3, 3, 3), (5, 9)),     # sum of ranks 9 > min(d_m, d_n) = 5
+    ])
+    def test_report_spectrum_matches_lapack(self, ranks, shape):
+        rng = np.random.default_rng(len(ranks))
+        adapters = [SvdLoraAdapter(target=TargetId(0, "Q"),
+                                   B=rng.standard_normal((shape[0], r)),
+                                   E=rng.standard_normal(r),
+                                   A=rng.standard_normal((r, shape[1])))
+                    for r in ranks]
+        merged, rec = mg.merge_target(adapters, mg.MergeConfig())
+        mean = sum(delta(a) for a in adapters) / len(adapters)
+        sigma = np.linalg.svd(mean, compute_uv=False)
+        spec = np.asarray(rec.spectrum)
+        assert spec.shape == (min(shape),)
+        assert np.all(spec[sum(ranks):] == 0.0)
+        np.testing.assert_allclose(spec, sigma, rtol=0, atol=1e-10 * sigma[0])
+        np.testing.assert_allclose(merged.E, sigma[:rec.kept_rank],
+                                   rtol=0, atol=1e-10 * sigma[0])
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10**6), st.floats(1e-3, 1e3))
@@ -156,20 +179,34 @@ class TestPreMergeBaseline:
 class TestTaskArithmetic:
     def test_identity_at_inverse_count(self):
         sets = [make_set(4)] * 3
-        deltas = mg.baseline_task_arithmetic(sets, lam=None)
+        out = mg.baseline_task_arithmetic(sets, lam=None)
         for t, a in sets[0].adapters.items():
-            np.testing.assert_allclose(deltas[t], delta(a), atol=1e-12)
+            np.testing.assert_allclose(delta(out.adapters[t]), delta(a), atol=1e-12)
 
     def test_zero_lambda(self):
-        deltas = mg.baseline_task_arithmetic([make_set(1)], lam=0.0)
-        assert all(np.array_equal(d, np.zeros_like(d)) for d in deltas.values())
+        out = mg.baseline_task_arithmetic([make_set(1)], lam=0.0)
+        assert all(np.array_equal(delta(a), np.zeros(a.shape))
+                   for a in out.adapters.values())
 
     def test_matches_pre_truncation_average(self):
         sets = [make_set(1), make_set(2)]
-        deltas = mg.baseline_task_arithmetic(sets, lam=0.5)
-        for t in deltas:
+        out = mg.baseline_task_arithmetic(sets, lam=0.5)
+        for t, a in out.adapters.items():
             avg = (delta(sets[0].adapters[t]) + delta(sets[1].adapters[t])) / 2
-            assert np.linalg.norm(deltas[t] - avg) <= 1e-12 * np.linalg.norm(avg)
+            assert np.linalg.norm(delta(a) - avg) <= 1e-12 * np.linalg.norm(avg)
+
+    @pytest.mark.parametrize("lam", [0.25, 1.0, -2.0])
+    def test_canonical_low_rank_scaled_sum(self, lam):
+        # three rank-4 sets at d=8: the stacked width 12 exceeds d
+        sets = [make_set(i) for i in range(3)]
+        out = mg.baseline_task_arithmetic(sets, lam=lam)
+        assert out.head_w is None
+        assert out.metadata["method"] == "task-arith"
+        for t, a in out.adapters.items():
+            want = lam * sum(delta(s.adapters[t]) for s in sets)
+            assert is_canonical(a)
+            assert a.rank <= min(sum(s.adapters[t].rank for s in sets), *a.shape)
+            assert np.linalg.norm(delta(a) - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestGap:

@@ -143,6 +143,16 @@ class TestCorruption:
         with pytest.raises(CorruptionError, match="length"):
             storage.load_adapter_set(saved)
 
+    @pytest.mark.parametrize("mutate", [
+        lambda entry: entry.pop("shape"),
+        lambda entry: entry.__setitem__("shape", "x"),
+        lambda entry: entry.__setitem__("shape", 3),
+    ], ids=["missing", "non-integer", "not-a-list"])
+    def test_malformed_shape(self, saved, mutate):
+        self._rewrite_header(saved, lambda header: mutate(header["tensors"][0]))
+        with pytest.raises(CorruptionError, match="malformed directory entry"):
+            storage.load_adapter_set(saved)
+
     def test_nan_payload(self, saved):
         blob = bytearray(saved.read_bytes())
         _, _, header_len = struct.unpack_from("<4sIQ", blob)

@@ -7,8 +7,7 @@ from svdlora.errors import DataError, ModelError, ParameterError, TrainingError
 from svdlora.model import (TinyModel, cross_entropy, forward,
                            orthogonality_penalty)
 from svdlora.train import (TrainConfig, epochs_to_accuracy, evaluate,
-                           finetune_from, gradients, init_adapter_set, loss,
-                           train_adapter)
+                           gradients, init_adapter_set, loss, train_adapter)
 
 
 @pytest.fixture(scope="module")
@@ -284,18 +283,10 @@ class TestEvaluate:
 
 
 class TestFinetune:
-    def test_fresh_init_reduces_to_train(self, model):
-        spec = TaskSpec(task_seed=5, num_classes=2, separation=10.0)
-        cfg = TrainConfig(seed=1, epochs=5)
-        a = train_adapter(model, spec, cfg)
-        b = finetune_from(model, None, spec, cfg)
-        assert a.train_losses == b.train_losses
-        assert a.adapter_set.digest() == b.adapter_set.digest()
-
     def test_curve_length_equals_epochs(self, model):
         spec = TaskSpec(task_seed=5, num_classes=2, separation=10.0)
         cfg = TrainConfig(seed=1, epochs=7)
-        res = finetune_from(model, None, spec, cfg)
+        res = train_adapter(model, spec, cfg)
         assert len(res.val_accs) == 7
 
     def test_epochs_to_accuracy(self):
