@@ -9,6 +9,8 @@ tasks from the same family, five run seeds per cell.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -23,6 +25,7 @@ from .train import (TrainConfig, TrainResult, epochs_to_accuracy, evaluate,
                     train_adapter)
 
 REACH_TARGET = 0.8  # validation accuracy level for convergence-speed curves
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -88,8 +91,21 @@ def _run_jobs(jobs: list[tuple], jobs_n: int) -> dict:
     parallel; results are keyed so ordering never depends on completion."""
     if jobs_n <= 1:
         return {key: res for key, res in map(_train_job, jobs)}
-    with ProcessPoolExecutor(max_workers=jobs_n) as pool:
-        return {key: res for key, res in pool.map(_train_job, jobs)}
+    # The workers share the cores, so unless the environment fixes the BLAS
+    # thread count, each gets an equal share; with more, their threaded GEMMs
+    # oversubscribe the machine and stall. BLAS reads these variables when
+    # numpy loads, so the workers are spawned fresh. The thread count does not
+    # change GEMM results; criterion 11 compares the outputs byte for byte.
+    threads = str(max(1, (os.cpu_count() or 1) // jobs_n))
+    added = [name for name in _BLAS_THREAD_VARS if name not in os.environ]
+    os.environ.update({name: threads for name in added})
+    try:
+        with ProcessPoolExecutor(max_workers=jobs_n,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            return {key: res for key, res in pool.map(_train_job, jobs)}
+    finally:
+        for name in added:
+            del os.environ[name]
 
 
 @dataclass

@@ -7,7 +7,11 @@ from a seed and frozen (write-protected); only adapters and the head train.
 
 Forward and reverse passes are written out explicitly in numpy so gradient
 correctness can be checked against finite differences without an autodiff
-framework.
+framework. Both work on token rows: a batch (n, seq_len, d) is reshaped once
+to (n*seq_len, d), so every projection, the adapter factors and both MLP
+matmuls are single 2-D GEMMs, and only the attention scores and ``p @ v``
+stay batched (n, seq_len, .) matmuls. The backward pass computes no gradient
+with respect to the first layer's input, which is data.
 """
 
 from __future__ import annotations
@@ -90,14 +94,15 @@ def _check_signature(model: TinyModel, adapters: AdapterSet) -> None:
 
 def _adapted_projection(x: np.ndarray, w: np.ndarray,
                         ad: SvdLoraAdapter | None):
-    """x @ (w + delta).T without forming delta; returns the projection plus
-    the low-rank intermediates needed for the backward pass."""
+    """x @ (w + delta).T on token rows without forming delta; returns the
+    projection plus the low-rank intermediates needed for the backward pass."""
     out = x @ w.T
     if ad is None:
         return out, None, None
-    ya = x @ ad.A.T           # (n, T, r)
-    yb = ya * ad.E            # (n, T, r)
-    return out + yb @ ad.B.T, ya, yb
+    ya = x @ ad.A.T           # (n*T, r)
+    yb = ya * ad.E            # (n*T, r)
+    out += yb @ ad.B.T
+    return out, ya, yb
 
 
 def forward(model: TinyModel, adapters: AdapterSet, x: np.ndarray,
@@ -117,7 +122,9 @@ def forward(model: TinyModel, adapters: AdapterSet, x: np.ndarray,
     if x.ndim != 3 or x.shape[2] != model.embed_dim:
         raise ModelError(f"batch shape {x.shape} incompatible with embed dim {model.embed_dim}")
 
-    scale = 1.0 / np.sqrt(model.embed_dim)
+    n, seq_len, d = x.shape
+    scale = 1.0 / np.sqrt(d)
+    x = x.reshape(n * seq_len, d)
     cache = []
     for layer_index, lw in enumerate(model.layers):
         aq = adapters.adapters.get(TargetId(layer_index, "Q"))
@@ -125,22 +132,25 @@ def forward(model: TinyModel, adapters: AdapterSet, x: np.ndarray,
         q, ya_q, yb_q = _adapted_projection(x, lw.Wq, aq)
         k = x @ lw.Wk.T
         v, ya_v, yb_v = _adapted_projection(x, lw.Wv, av)
-        scores = scale * (q @ k.transpose(0, 2, 1))
-        scores -= scores.max(axis=-1, keepdims=True)
-        p = np.exp(scores)
+        p = q.reshape(n, seq_len, d) @ k.reshape(n, seq_len, d).transpose(0, 2, 1)
+        p *= scale
+        p -= p.max(axis=-1, keepdims=True)
+        np.exp(p, out=p)
         p /= p.sum(axis=-1, keepdims=True)
-        ctx = p @ v
-        x1 = x + ctx @ lw.Wo.T
-        u1 = x1 @ lw.W1.T
-        hact = np.tanh(u1)
-        x2 = x1 + hact @ lw.W2.T
+        ctx = p @ v.reshape(n, seq_len, d)
+        x1 = ctx.reshape(n * seq_len, d) @ lw.Wo.T
+        x1 += x
+        hact = x1 @ lw.W1.T
+        np.tanh(hact, out=hact)
+        x2 = hact @ lw.W2.T
+        x2 += x1
         if want_cache:
             cache.append(
-                dict(x=x, q=q, k=k, v=v, p=p, ctx=ctx, x1=x1, hact=hact,
+                dict(x=x, q=q, k=k, v=v, p=p, hact=hact,
                      ya_q=ya_q, yb_q=yb_q, ya_v=ya_v, yb_v=yb_v, aq=aq, av=av)
             )
         x = x2
-    pooled = x.mean(axis=1)
+    pooled = x.reshape(n, seq_len, d).mean(axis=1)
     logits = pooled @ head_w + head_b
     if want_cache:
         return logits, dict(layers=cache, pooled=pooled, head=head)
@@ -165,24 +175,36 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
     return loss, grad
 
 
-def orthogonality_penalty(adapters: AdapterSet) -> float:
-    """Sum over adapters of ||B'B - I||_F^2 + ||AA' - I||_F^2."""
+def _gram_residuals(adapters: AdapterSet) -> dict[TargetId, tuple[np.ndarray, np.ndarray]]:
+    """(B'B - I, AA' - I) per target."""
+    out = {}
+    for tid, a in adapters.adapters.items():
+        eye = np.eye(a.rank)
+        out[tid] = (a.B.T @ a.B - eye, a.A @ a.A.T - eye)
+    return out
+
+
+def _penalty(residuals: dict[TargetId, tuple[np.ndarray, np.ndarray]]) -> float:
     total = 0.0
-    for a in adapters.adapters.values():
-        r = a.rank
-        gb = a.B.T @ a.B - np.eye(r)
-        ga = a.A @ a.A.T - np.eye(r)
+    for gb, ga in residuals.values():
         total += float(np.sum(gb * gb) + np.sum(ga * ga))
     return total
 
 
+def orthogonality_penalty(adapters: AdapterSet) -> float:
+    """Sum over adapters of ||B'B - I||_F^2 + ||AA' - I||_F^2."""
+    return _penalty(_gram_residuals(adapters))
+
+
 class GradSet:
-    """Gradients for every trainable block, keyed like the adapter set."""
+    """Gradients for every trainable block, keyed like the adapter set, plus
+    the orthogonality penalty of the factors they were taken at."""
 
     def __init__(self):
         self.adapters: dict[TargetId, dict[str, np.ndarray]] = {}
         self.head_w: np.ndarray | None = None
         self.head_b: np.ndarray | None = None
+        self.ortho_penalty: float = 0.0
 
 
 def backward(model: TinyModel, adapters: AdapterSet, cache: dict,
@@ -190,8 +212,10 @@ def backward(model: TinyModel, adapters: AdapterSet, cache: dict,
     """Exact reverse-mode gradients through the cached forward pass.
 
     Backbone weights are frozen: the pass propagates through them but never
-    accumulates gradients for them. The orthogonality penalty contributes
-    4*B(B'B - I) and 4*(AA' - I)A scaled by ``reg_weight``.
+    accumulates gradients for them, and it stops at the first layer's input,
+    which is data. The orthogonality penalty contributes 4*B(B'B - I) and
+    4*(AA' - I)A scaled by ``reg_weight``; its value is returned alongside,
+    computed from the same Gram matrices.
     """
     grads = GradSet()
     head_w, _ = cache["head"]
@@ -199,54 +223,61 @@ def backward(model: TinyModel, adapters: AdapterSet, cache: dict,
     grads.head_b = dlogits.sum(axis=0)
     dz = dlogits @ head_w.T  # (n, d)
 
-    seq_len = cache["layers"][0]["x"].shape[1]
-    dx = np.repeat(dz[:, None, :] / seq_len, seq_len, axis=1)
-    scale = 1.0 / np.sqrt(model.embed_dim)
+    n, d = dz.shape
+    seq_len = cache["layers"][0]["x"].shape[0] // n
+    dx = np.repeat(dz / seq_len, seq_len, axis=0)  # (n*T, d)
+    scale = 1.0 / np.sqrt(d)
 
     for layer_index in reversed(range(model.num_layers)):
         lw = model.layers[layer_index]
         c = cache["layers"][layer_index]
         x, q, k, v, p = c["x"], c["q"], c["k"], c["v"], c["p"]
 
-        dx1 = dx.copy()
-        dh = dx @ lw.W2
-        du1 = dh * (1.0 - c["hact"] ** 2)
-        dx1 += du1 @ lw.W1
+        dtanh = np.square(c["hact"])
+        np.subtract(1.0, dtanh, out=dtanh)
+        du1 = dx @ lw.W2
+        du1 *= dtanh
+        dx1 = du1 @ lw.W1
+        dx1 += dx  # residual branch
 
-        dctx = dx1 @ lw.Wo
-        dp = dctx @ v.transpose(0, 2, 1)
-        dv = p.transpose(0, 2, 1) @ dctx
-        dscores = p * (dp - np.sum(dp * p, axis=-1, keepdims=True))
-        dq = scale * (dscores @ k)
-        dk = scale * (dscores.transpose(0, 2, 1) @ q)
+        dctx = (dx1 @ lw.Wo).reshape(n, seq_len, d)
+        dscores = dctx @ v.reshape(n, seq_len, d).transpose(0, 2, 1)
+        dv = (p.transpose(0, 2, 1) @ dctx).reshape(n * seq_len, d)
+        dscores -= np.sum(dscores * p, axis=-1, keepdims=True)
+        dscores *= p
+        dq = (dscores @ k.reshape(n, seq_len, d)).reshape(n * seq_len, d)
+        dq *= scale
 
-        dx_in = dx1  # residual branch
-        dx_in = dx_in + dk @ lw.Wk
+        dx_in = None  # stays None at layer 0, whose input is data
+        if layer_index > 0:
+            dk = (dscores.transpose(0, 2, 1) @ q.reshape(n, seq_len, d)).reshape(n * seq_len, d)
+            dk *= scale
+            dx_in = dx1
+            dx_in += dk @ lw.Wk
         for slot, dproj, ya, yb, ad, w in (
             ("Q", dq, c["ya_q"], c["yb_q"], c["aq"], lw.Wq),
             ("V", dv, c["ya_v"], c["yb_v"], c["av"], lw.Wv),
         ):
-            dx_in = dx_in + dproj @ w
+            if dx_in is not None:
+                dx_in += dproj @ w
             if ad is None:
                 continue
-            dyb = dproj @ ad.B
-            db = np.einsum("ntd,ntr->dr", dproj, yb)
-            de = np.einsum("ntr,ntr->r", dyb, ya)
-            dya = dyb * ad.E
-            da = np.einsum("ntr,ntd->rd", dya, x)
-            dx_in = dx_in + dya @ ad.A
+            dya = dproj @ ad.B
+            db = dproj.T @ yb
+            de = np.sum(dya * ya, axis=0)
+            dya *= ad.E
+            da = dya.T @ x
+            if dx_in is not None:
+                dx_in += dya @ ad.A
             grads.adapters[TargetId(layer_index, slot)] = {"B": db, "E": de, "A": da}
         dx = dx_in
 
+    residuals = _gram_residuals(adapters)
+    grads.ortho_penalty = _penalty(residuals)
     if reg_weight != 0.0:
         for tid, a in adapters.adapters.items():
-            r = a.rank
-            gb = 4.0 * reg_weight * (a.B @ (a.B.T @ a.B - np.eye(r)))
-            ga = 4.0 * reg_weight * ((a.A @ a.A.T - np.eye(r)) @ a.A)
-            block = grads.adapters.setdefault(
-                tid, {"B": np.zeros_like(a.B), "E": np.zeros_like(a.E),
-                      "A": np.zeros_like(a.A)}
-            )
-            block["B"] = block["B"] + gb
-            block["A"] = block["A"] + ga
+            gram_b, gram_a = residuals[tid]
+            block = grads.adapters[tid]  # every target got one in the layer loop
+            block["B"] += 4.0 * reg_weight * (a.B @ gram_b)
+            block["A"] += 4.0 * reg_weight * (gram_a @ a.A)
     return grads

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .adapter import AdapterSet, ModelSignature, SvdLoraAdapter, TargetId
-from .errors import CorruptionError, FormatError, NumericError
+from .errors import CorruptionError, FormatError, NumericError, ToolkitError
 from .merge import MergeReport
 
 MAGIC = b"MLGO"
@@ -100,6 +100,8 @@ def save_adapter_set(s: AdapterSet, path) -> None:
 
 def _read_tensor(payload: bytes, name: str, shape: tuple[int, ...],
                  offset: int, length: int) -> np.ndarray:
+    if any(dim < 0 for dim in shape):
+        raise CorruptionError(f"tensor {name}: negative dimension in shape {shape}")
     expected = 8 * int(np.prod(shape)) if shape else 8
     if length != expected:
         raise CorruptionError(
@@ -165,7 +167,7 @@ def load_adapter_set(path) -> AdapterSet:
         if role in ("B", "E", "A"):
             try:
                 tid = TargetId.parse(str(entry["target"]))
-            except (ValueError, AttributeError) as exc:
+            except (ValueError, AttributeError, ToolkitError) as exc:
                 raise CorruptionError(f"{path}: bad target in entry {name}") from exc
             per_target.setdefault(tid, {})[role] = tensors[name]
         elif role == "head_w":
@@ -175,13 +177,18 @@ def load_adapter_set(path) -> AdapterSet:
         else:
             raise CorruptionError(f"{path}: unknown tensor role {role!r}")
 
-    adapters = {}
     for tid, parts in per_target.items():
         if set(parts) != {"B", "E", "A"}:
             raise CorruptionError(f"{path}: incomplete factors for target {tid}")
-        adapters[tid] = SvdLoraAdapter(target=tid, B=parts["B"], E=parts["E"], A=parts["A"])
-    return AdapterSet(signature=signature, adapters=adapters,
-                      head_w=head_w, head_b=head_b, metadata=metadata)
+    # Every tensor is finite by now, so a failed check here means the
+    # header's shapes or targets do not fit together.
+    try:
+        adapters = {tid: SvdLoraAdapter(target=tid, **parts)
+                    for tid, parts in per_target.items()}
+        return AdapterSet(signature=signature, adapters=adapters,
+                          head_w=head_w, head_b=head_b, metadata=metadata)
+    except ToolkitError as exc:
+        raise CorruptionError(f"{path}: inconsistent tensors: {exc}") from exc
 
 
 # --- merge reports --------------------------------------------------------

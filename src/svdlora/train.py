@@ -9,7 +9,7 @@ accuracy, and that checkpoint is what the run returns.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .model import (GradSet, TinyModel, backward, cross_entropy, forward,
 _HEAD_TAG = 6661
 _ADAPTER_TAG = 6662
 _SHUFFLE_TAG = 6663
+EVAL_CHUNK = 64  # samples per forward pass in evaluate
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,7 @@ def gradients(model: TinyModel, adapters: AdapterSet,
     logits, cache = forward(model, adapters, x, want_cache=True)
     ce, dlogits = cross_entropy(logits, labels)
     grads = backward(model, adapters, cache, dlogits, reg_weight)
-    return ce + reg_weight * orthogonality_penalty(adapters), grads
+    return ce + reg_weight * grads.ortho_penalty, grads
 
 
 def init_adapter_set(model: TinyModel, num_classes: int,
@@ -103,25 +104,41 @@ def init_adapter_set(model: TinyModel, num_classes: int,
 
 
 class _Adam:
-    def __init__(self, shapes: list[np.ndarray], cfg: TrainConfig):
+    """Adam over one flat parameter vector, updated in place.
+
+    Each step applies p - lr * mhat / (sqrt(vhat) + eps) with the same
+    elementwise operations in the same order as the textbook formula, so the
+    result is bit-identical to it; only the temporaries are reused.
+    """
+
+    def __init__(self, size: int, cfg: TrainConfig):
         self.cfg = cfg
-        self.m = [np.zeros_like(p) for p in shapes]
-        self.v = [np.zeros_like(p) for p in shapes]
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
+        self._denom = np.empty(size)
+        self._update = np.empty(size)
         self.t = 0
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> list[np.ndarray]:
+    def step(self, theta: np.ndarray, g: np.ndarray) -> None:
         c = self.cfg
         self.t += 1
-        out = []
         bc1 = 1.0 - c.beta1 ** self.t
         bc2 = 1.0 - c.beta2 ** self.t
-        for i, (p, g) in enumerate(zip(params, grads)):
-            self.m[i] = c.beta1 * self.m[i] + (1 - c.beta1) * g
-            self.v[i] = c.beta2 * self.v[i] + (1 - c.beta2) * (g * g)
-            mhat = self.m[i] / bc1
-            vhat = self.v[i] / bc2
-            out.append(p - c.learning_rate * mhat / (np.sqrt(vhat) + c.adam_eps))
-        return out
+        denom, update = self._denom, self._update
+        np.multiply(g, 1 - c.beta1, out=update)
+        self.m *= c.beta1
+        self.m += update
+        np.multiply(g, g, out=update)
+        update *= 1 - c.beta2
+        self.v *= c.beta2
+        self.v += update
+        np.divide(self.v, bc2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += c.adam_eps
+        np.divide(self.m, bc1, out=update)
+        update *= c.learning_rate
+        update /= denom
+        theta -= update
 
 
 def _flatten(aset: AdapterSet) -> list[np.ndarray]:
@@ -153,15 +170,33 @@ def _rebuild(aset: AdapterSet, flat: list[np.ndarray]) -> AdapterSet:
                       metadata=dict(aset.metadata))
 
 
+def _views(theta: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
+    """Consecutive views into the flat vector ``theta``, shaped like ``like``."""
+    out = []
+    offset = 0
+    for arr in like:
+        out.append(theta[offset:offset + arr.size].reshape(arr.shape))
+        offset += arr.size
+    return out
+
+
 def evaluate(model: TinyModel, adapters: AdapterSet,
              split: tuple[np.ndarray, np.ndarray],
              head: tuple[np.ndarray, np.ndarray] | None = None) -> float:
-    """Argmax accuracy on one split; ties break toward the lowest class."""
+    """Argmax accuracy on one split; ties break toward the lowest class.
+
+    The forward pass runs over ``EVAL_CHUNK`` samples at a time, which keeps
+    its temporaries small and reused.
+    """
     x, y = split
     if len(y) == 0:
         raise DataError("cannot evaluate on an empty split")
-    logits = forward(model, adapters, x, head=head)
-    return float(np.mean(np.argmax(logits, axis=1) == y))
+    hits = 0
+    for start in range(0, len(y), EVAL_CHUNK):
+        stop = start + EVAL_CHUNK
+        logits = forward(model, adapters, x[start:stop], head=head)
+        hits += int(np.count_nonzero(np.argmax(logits, axis=1) == y[start:stop]))
+    return hits / len(y)
 
 
 def train_adapter(model: TinyModel, spec: TaskSpec, cfg: TrainConfig,
@@ -185,16 +220,24 @@ def train_adapter(model: TinyModel, spec: TaskSpec, cfg: TrainConfig,
             metadata=dict(current.metadata) | {"init": "merged"},
         )
 
+    # Every trainable tensor is a view into theta, a copy, so init is never
+    # written. The constructors keep contiguous float64 arrays as given, so
+    # Adam's in-place updates of theta are the live set's updates.
+    initial = _flatten(current)
+    theta = np.concatenate([arr.ravel() for arr in initial])
+    current = _rebuild(current, _views(theta, initial))
+    grad = np.empty_like(theta)
+    opt = _Adam(theta.size, cfg)
+
     x_train, y_train = dataset.train
     n = len(y_train)
     rng = np.random.default_rng([_SHUFFLE_TAG, cfg.seed, spec.task_seed])
-    opt = _Adam(_flatten(current), cfg)
 
     train_losses: list[float] = []
     val_accs: list[float] = []
     ortho_penalties: list[float] = []
     best = (-1.0, -1)  # (val accuracy, epoch)
-    best_set = current
+    best_theta = theta.copy()
     test_acc = 0.0
 
     for epoch in range(cfg.epochs):
@@ -209,8 +252,9 @@ def train_adapter(model: TinyModel, spec: TaskSpec, cfg: TrainConfig,
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, step {batches}"
                 )
-            flat = opt.step(_flatten(current), _flatten_grads(current, grads))
-            current = _rebuild(current, flat)
+            np.concatenate([g.ravel() for g in _flatten_grads(current, grads)],
+                           out=grad)
+            opt.step(theta, grad)
             epoch_loss += value
             batches += 1
         train_losses.append(epoch_loss / batches)
@@ -219,10 +263,10 @@ def train_adapter(model: TinyModel, spec: TaskSpec, cfg: TrainConfig,
         val_accs.append(val_acc)
         if val_acc > best[0]:
             best = (val_acc, epoch)
-            best_set = current
+            best_theta = theta.copy()
             test_acc = evaluate(model, current, dataset.test)
 
-    final = best_set.canonicalized()
+    final = _rebuild(current, _views(best_theta, initial)).canonicalized()
     return TrainResult(
         adapter_set=final,
         train_losses=train_losses,

@@ -162,19 +162,45 @@ class TestInspect:
         assert main(["inspect", "--input", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("shape", [None, "x"])
-    def test_malformed_shape_is_runtime_error(self, workdir, tmp_path, capsys, shape):
-        blob = (workdir / "a.mlgo").read_bytes()
+    @staticmethod
+    def _rewrite_header(src, dst, mutate):
+        blob = src.read_bytes()
         magic, version, header_len = struct.unpack_from("<4sIQ", blob)
         header = json.loads(blob[16:16 + header_len])
-        if shape is None:
-            del header["tensors"][0]["shape"]
-        else:
-            header["tensors"][0]["shape"] = shape
+        mutate(header["tensors"])
         raw = json.dumps(header).encode()
         raw += b" " * ((-len(raw)) % 8)
-        bad = tmp_path / "bad.mlgo"
-        bad.write_bytes(struct.pack("<4sIQ", magic, version, len(raw)) + raw
+        dst.write_bytes(struct.pack("<4sIQ", magic, version, len(raw)) + raw
                         + blob[16 + header_len:])
+
+    @pytest.mark.parametrize("shape", [None, "x"])
+    def test_malformed_shape_is_runtime_error(self, workdir, tmp_path, capsys, shape):
+        def mutate(entries):
+            if shape is None:
+                del entries[0]["shape"]
+            else:
+                entries[0]["shape"] = shape
+        bad = tmp_path / "bad.mlgo"
+        self._rewrite_header(workdir / "a.mlgo", bad, mutate)
+        assert main(["inspect", "--input", str(bad)]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", [
+        "negative-shape", "negative-layer", "layer-out-of-range", "head-bias-shape",
+    ])
+    def test_inconsistent_header_is_runtime_error(self, workdir, tmp_path, capsys, case):
+        def mutate(entries):
+            if case == "negative-shape":
+                entries[0]["shape"] = [-dim for dim in entries[0]["shape"]]
+            elif case == "head-bias-shape":
+                bias = next(e for e in entries if e["role"] == "head_b")
+                bias["shape"] = [1] + bias["shape"]
+            else:
+                target = "layer-1.Q" if case == "negative-layer" else "layer5.Q"
+                for entry in entries:
+                    if entry["target"] == "layer0.Q":
+                        entry["target"] = target
+        bad = tmp_path / "bad.mlgo"
+        self._rewrite_header(workdir / "a.mlgo", bad, mutate)
         assert main(["inspect", "--input", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err

@@ -153,6 +153,36 @@ class TestCorruption:
         with pytest.raises(CorruptionError, match="malformed directory entry"):
             storage.load_adapter_set(saved)
 
+    @staticmethod
+    def _retarget_layer0_q(target):
+        def mutate(header):
+            for entry in header["tensors"]:
+                if entry["target"] == "layer0.Q":
+                    entry["target"] = target
+        return mutate
+
+    @staticmethod
+    def _negate_first_shape(header):
+        entry = header["tensors"][0]
+        entry["shape"] = [-dim for dim in entry["shape"]]  # same product
+
+    @staticmethod
+    def _head_bias_as_row(header):
+        entry = next(e for e in header["tensors"] if e["role"] == "head_b")
+        entry["shape"] = [1] + entry["shape"]  # same length, wrong rank
+
+    @pytest.mark.parametrize("mutate, match", [
+        (_negate_first_shape, "negative dimension"),
+        (_retarget_layer0_q("layer-1.Q"), "bad target"),
+        (_retarget_layer0_q("layer5.Q"), "out of range"),
+        (_head_bias_as_row, "head bias shape"),
+    ], ids=["negative-shape", "negative-layer", "layer-out-of-range",
+            "head-bias-shape"])
+    def test_inconsistent_header(self, saved, mutate, match):
+        self._rewrite_header(saved, mutate)
+        with pytest.raises(CorruptionError, match=match):
+            storage.load_adapter_set(saved)
+
     def test_nan_payload(self, saved):
         blob = bytearray(saved.read_bytes())
         _, _, header_len = struct.unpack_from("<4sIQ", blob)

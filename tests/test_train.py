@@ -33,6 +33,13 @@ def randomized_set(model, num_classes=3, seed=42, scale=0.3):
                       metadata={})
 
 
+def tensors(aset):
+    """Every array of a set with a head, in file order."""
+    out = [getattr(aset.adapters[t], name)
+           for t in aset.sorted_targets() for name in ("B", "E", "A")]
+    return out + [aset.head_w, aset.head_b]
+
+
 class TestGenerateTask:
     def test_determinism(self):
         spec = TaskSpec(task_seed=4, num_classes=3)
@@ -281,6 +288,22 @@ class TestEvaluate:
         with pytest.raises(DataError):
             evaluate(model, aset, (np.zeros((0, 8, 32)), np.zeros(0, dtype=int)))
 
+    @pytest.mark.parametrize("n, classes, own_head", [
+        (200, 3, True),   # not a multiple of the chunk
+        (1, 3, True),
+        (200, 5, False),  # explicit head with its own class count
+    ])
+    def test_chunked_matches_single_pass(self, model, n, classes, own_head):
+        aset = randomized_set(model, num_classes=3, seed=11)
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal((n, 8, model.embed_dim))
+        head = None if own_head else (rng.standard_normal((model.embed_dim, classes)),
+                                      rng.standard_normal(classes))
+        preds = np.argmax(forward(model, aset, x, head=head), axis=1)
+        y = preds.copy()
+        y[1::3] = (y[1::3] + 1) % classes  # a known set of misses
+        assert evaluate(model, aset, (x, y), head=head) == np.mean(preds == y)
+
 
 class TestFinetune:
     def test_curve_length_equals_epochs(self, model):
@@ -288,6 +311,27 @@ class TestFinetune:
         cfg = TrainConfig(seed=1, epochs=7)
         res = train_adapter(model, spec, cfg)
         assert len(res.val_accs) == 7
+
+    def test_init_unchanged_and_runs_repeat(self, model):
+        merged = randomized_set(model, seed=8)
+        before = [a.copy() for a in tensors(merged)]
+        spec = TaskSpec(task_seed=5, num_classes=2, separation=10.0)
+        cfg = TrainConfig(seed=1, epochs=3)
+        runs = [train_adapter(model, spec, cfg, init=merged) for _ in range(2)]
+        assert all(np.array_equal(x, y) for x, y in zip(before, tensors(merged)))
+        assert runs[0].train_losses == runs[1].train_losses
+        assert runs[0].val_accs == runs[1].val_accs
+        assert runs[0].adapter_set.digest() == runs[1].adapter_set.digest()
+
+    def test_checkpoint_is_a_snapshot(self, model):
+        # the returned set is the best epoch's, not the last one's: a rerun
+        # stopped at the best epoch ends on the same tensors
+        spec = TaskSpec(task_seed=5, num_classes=2, separation=10.0)
+        res = train_adapter(model, spec, TrainConfig(seed=1, epochs=6))
+        assert res.best_epoch < 5
+        rerun = train_adapter(model, spec, TrainConfig(seed=1, epochs=res.best_epoch + 1))
+        assert all(np.array_equal(x, y) for x, y in
+                   zip(tensors(res.adapter_set), tensors(rerun.adapter_set)))
 
     def test_epochs_to_accuracy(self):
         assert epochs_to_accuracy([0.5, 0.7, 0.85, 0.9], 0.8) == 3
