@@ -129,11 +129,23 @@ def svd_factors(B: np.ndarray, E: np.ndarray, A: np.ndarray) -> linalg.SvdFactor
     small core, so the dense SVD never exceeds the inner width r. r may
     exceed min(d_m, d_n), as for a stack of several adapters; the result
     then has min(d_m, d_n) components. Zero components are kept.
+
+    Each singular pair's sign is pinned: ``(U[:, i], V[:, i])`` is flipped
+    jointly so that the largest-magnitude entry of ``V[:, i]`` (the first
+    one on ties) is positive. With distinct singular values the factors then
+    depend, up to rounding, on the product only, not on how it was factored:
+    canonicalizing is idempotent and factor averaging sees consistent signs.
+    The flip is exact, so deltas are unchanged bit for bit.
     """
     qb, rb = np.linalg.qr(B)
     qa, ra = np.linalg.qr(A.T)
     f = linalg.svd((rb * E) @ ra.T)
-    return linalg.SvdFactors(U=qb @ f.U, S=f.S, V=qa @ f.V)
+    u, v = qb @ f.U, qa @ f.V
+    cols = np.arange(v.shape[1])
+    flip = v[np.argmax(np.abs(v), axis=0), cols] < 0
+    u[:, flip] *= -1.0
+    v[:, flip] *= -1.0
+    return linalg.SvdFactors(U=u, S=f.S, V=v)
 
 
 def from_svd(target: TargetId, f: linalg.SvdFactors) -> SvdLoraAdapter:

@@ -9,10 +9,8 @@ tasks from the same family, five run seeds per cell.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -91,6 +89,11 @@ def _run_jobs(jobs: list[tuple], jobs_n: int) -> dict:
     parallel; results are keyed so ordering never depends on completion."""
     if jobs_n <= 1:
         return {key: res for key, res in map(_train_job, jobs)}
+    # Imported here so that single-job runs never load the process-pool
+    # machinery, which only adds to their resident memory.
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     # The workers share the cores, so unless the environment fixes the BLAS
     # thread count, each gets an equal share; with more, their threaded GEMMs
     # oversubscribe the machine and stall. BLAS reads these variables when

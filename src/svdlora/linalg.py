@@ -3,7 +3,10 @@
 Matrices are plain 2-D C-contiguous ``numpy.float64`` arrays. The SVD is a
 one-sided Jacobi iteration (rotations applied to columns until all column
 pairs are orthogonal), which is simple, deterministic and accurate at the
-small sizes this toolkit works with. No LAPACK SVD driver is used.
+small sizes this toolkit works with. It starts from the eigenvectors of the
+Gram matrix, so the rotations only polish an already nearly orthogonal set of
+columns, usually in one sweep. No LAPACK SVD driver is used; the symmetric
+eigensolver supplies the starting basis only.
 """
 
 from __future__ import annotations
@@ -133,63 +136,88 @@ def _complete_orthonormal(u: np.ndarray, dead: np.ndarray) -> None:
         u[:, j] = v
 
 
+def _off_diagonal_level(gram: np.ndarray) -> float:
+    """Largest ``|g_ij| / sqrt(g_ii * g_jj)`` over column pairs i != j of a
+    Gram matrix; pairs with a zero column count as orthogonal."""
+    norms = np.sqrt(np.diag(gram))
+    scale = np.outer(norms, norms)
+    rel = np.divide(np.abs(gram), scale, out=np.zeros_like(gram), where=scale > 0)
+    np.fill_diagonal(rel, 0.0)
+    return float(rel.max())
+
+
+def _jacobi_sweep(work: np.ndarray, v: np.ndarray, rounds) -> None:
+    """One round-robin sweep of rotations over every non-orthogonal column
+    pair of ``work``, applied to ``v`` alike."""
+    for idx_i, idx_j in rounds:
+        ci = work[:, idx_i]
+        cj = work[:, idx_j]
+        a = np.einsum("ij,ij->j", ci, ci)
+        b = np.einsum("ij,ij->j", cj, cj)
+        g = np.einsum("ij,ij->j", ci, cj)
+        scale = np.sqrt(a * b)
+        rel = np.divide(np.abs(g), scale, out=np.zeros_like(g), where=scale > 0)
+        hot = rel > _JACOBI_TOL
+        if not np.any(hot):
+            continue
+        # Rutishauser rotation: |angle| <= pi/4, required for convergence
+        # under this parallel pair ordering.
+        gh = g[hot]
+        tau = (b[hot] - a[hot]) / (2.0 * gh)
+        t = np.where(tau >= 0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+        c = 1.0 / np.sqrt(1.0 + t * t)
+        s = c * t
+        ii = idx_i[hot]
+        jj = idx_j[hot]
+        wi = work[:, ii]
+        wj = work[:, jj]
+        work[:, ii] = c * wi - s * wj
+        work[:, jj] = s * wi + c * wj
+        vi = v[:, ii]
+        vj = v[:, jj]
+        v[:, ii] = c * vi - s * vj
+        v[:, jj] = s * vi + c * vj
+
+
 def svd(m: np.ndarray) -> SvdFactors:
     """Thin SVD via one-sided Jacobi; k = min(rows, cols), zeros retained.
 
     Rotations are applied to the side with fewer columns; if the input has
     more columns than rows it is transposed first and U/V swapped back.
+    Before each sweep one Gram product tests every column pair against the
+    tolerance, and sweeps run only while some pair fails it, so input with
+    orthogonal columns (a diagonal matrix, canonical factors) needs no
+    rotation. Otherwise the columns are first rotated by the eigenvectors of
+    ``m.T @ m`` in descending order (``v = V0``, ``work = m @ V0``); the
+    sweeps then polish what the squared problem left inexact, which keeps
+    Jacobi's accuracy on small singular values.
     """
     m = as_matrix(m, "matrix")
     if m.shape[1] > m.shape[0]:
         f = svd(m.T)
         return SvdFactors(U=f.V, S=f.S, V=f.U)
 
-    work = m.copy()
-    n = work.shape[1]
-    v = np.eye(n)
-    rounds = _round_robin_rounds(n)
-
-    residual = np.inf
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        residual = 0.0
-        for idx_i, idx_j in rounds:
-            ci = work[:, idx_i]
-            cj = work[:, idx_j]
-            a = np.einsum("ij,ij->j", ci, ci)
-            b = np.einsum("ij,ij->j", cj, cj)
-            g = np.einsum("ij,ij->j", ci, cj)
-            scale = np.sqrt(a * b)
-            rel = np.divide(np.abs(g), scale, out=np.zeros_like(g), where=scale > 0)
-            if rel.size:
-                residual = max(residual, float(rel.max()))
-            hot = rel > _JACOBI_TOL
-            if not np.any(hot):
-                continue
-            # Rutishauser rotation: |angle| <= pi/4, required for convergence
-            # under this parallel pair ordering.
-            gh = g[hot]
-            tau = (b[hot] - a[hot]) / (2.0 * gh)
-            t = np.where(tau >= 0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = c * t
-            ii = idx_i[hot]
-            jj = idx_j[hot]
-            wi = work[:, ii]
-            wj = work[:, jj]
-            work[:, ii] = c * wi - s * wj
-            work[:, jj] = s * wi + c * wj
-            vi = v[:, ii]
-            vj = v[:, jj]
-            v[:, ii] = c * vi - s * vj
-            v[:, jj] = s * vi + c * vj
-        if residual <= _JACOBI_TOL:
-            break
+    n = m.shape[1]
+    gram = m.T @ m
+    residual = _off_diagonal_level(gram)
+    if residual <= _JACOBI_TOL:
+        work, v = m, np.eye(n)  # no sweep will run, so work is only read
     else:
-        raise ConvergenceError(
-            f"Jacobi SVD did not converge in {_JACOBI_MAX_SWEEPS} sweeps "
-            f"(residual {residual:.3e})",
-            residual=residual,
-        )
+        v = np.linalg.eigh(gram)[1][:, ::-1].copy()
+        work = m @ v
+        residual = _off_diagonal_level(work.T @ work)
+    rounds = _round_robin_rounds(n) if residual > _JACOBI_TOL else []
+    sweeps = 0
+    while residual > _JACOBI_TOL:
+        if sweeps == _JACOBI_MAX_SWEEPS:
+            raise ConvergenceError(
+                f"Jacobi SVD did not converge in {_JACOBI_MAX_SWEEPS} sweeps "
+                f"(residual {residual:.3e})",
+                residual=residual,
+            )
+        _jacobi_sweep(work, v, rounds)
+        sweeps += 1
+        residual = _off_diagonal_level(work.T @ work)
 
     norms = np.sqrt(np.einsum("ij,ij->j", work, work))
     order = np.argsort(-norms, kind="stable")

@@ -238,7 +238,6 @@ def train_adapter(model: TinyModel, spec: TaskSpec, cfg: TrainConfig,
     ortho_penalties: list[float] = []
     best = (-1.0, -1)  # (val accuracy, epoch)
     best_theta = theta.copy()
-    test_acc = 0.0
 
     for epoch in range(cfg.epochs):
         perm = rng.permutation(n)
@@ -264,11 +263,11 @@ def train_adapter(model: TinyModel, spec: TaskSpec, cfg: TrainConfig,
         if val_acc > best[0]:
             best = (val_acc, epoch)
             best_theta = theta.copy()
-            test_acc = evaluate(model, current, dataset.test)
 
-    final = _rebuild(current, _views(best_theta, initial)).canonicalized()
+    best_set = _rebuild(current, _views(best_theta, initial))
+    test_acc = evaluate(model, best_set, dataset.test)
     return TrainResult(
-        adapter_set=final,
+        adapter_set=best_set.canonicalized(),
         train_losses=train_losses,
         val_accs=val_accs,
         best_epoch=best[1],

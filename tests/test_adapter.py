@@ -134,6 +134,29 @@ class TestCanonicalize:
         err = np.linalg.norm(ad.delta(canon) - ref)
         assert err <= 1e-9 * max(1.0, np.linalg.norm(ref))
 
+    @staticmethod
+    def _same_factors(x, y):
+        return all(np.allclose(p, q, rtol=0.0, atol=1e-9)
+                   for p, q in ((x.B, y.B), (x.E, y.E), (x.A, y.A)))
+
+    def test_canonical_factors_idempotent(self):
+        for seed in range(50):
+            canon = ad.canonicalize(random_adapter(seed, d_m=32, d_n=32, r=4))
+            assert self._same_factors(ad.canonicalize(canon), canon), seed
+
+    def test_canonical_factors_depend_on_delta_only(self):
+        # the same delta, factored through LAPACK's SVD with rescaled and
+        # sign-flipped columns, has the same canonical factors
+        for seed in range(50):
+            a = random_adapter(seed, d_m=32, d_n=32, r=4)
+            u, s, vt = np.linalg.svd(ad.delta(a))
+            rng = np.random.default_rng([seed, 1])
+            sb = rng.choice([-1.0, 1.0], 4) * rng.uniform(0.5, 2.0, 4)
+            sa = rng.choice([-1.0, 1.0], 4) * rng.uniform(0.5, 2.0, 4)
+            other = ad.SvdLoraAdapter(target=a.target, B=u[:, :4] * sb,
+                                      E=s[:4] / (sb * sa), A=vt[:4] * sa[:, None])
+            assert self._same_factors(ad.canonicalize(other), ad.canonicalize(a)), seed
+
     def test_zero_adapter_keeps_rank_one(self):
         a = ad.init_adapter(6, 6, 3, seed=0)
         canon = ad.canonicalize(a)

@@ -156,11 +156,24 @@ class TestInspect:
         for rec in json.loads(rep.read_text())["records"]:
             assert f"{rec['target']}: rank={rec['kept_rank']}" in out
 
-    def test_corrupt_file_is_runtime_error(self, tmp_path, capsys):
+    @staticmethod
+    def _every_command_fails(bad, good, tmp_path, capsys):
+        """inspect, merge and eval each exit 1 on ``bad`` with a one-line
+        error and no traceback."""
+        for argv in (["inspect", "--input", str(bad)],
+                     ["merge", "--inputs", str(bad), str(good),
+                      "--out", str(tmp_path / "m.mlgo")],
+                     ["eval", "--adapters", str(bad), "--head", "embedded",
+                      "--task-seed", "5"]):
+            assert main(argv) == 1, argv[0]
+            captured = capsys.readouterr()
+            assert "error:" in captured.err, argv[0]
+            assert "Traceback" not in captured.err + captured.out, argv[0]
+
+    def test_corrupt_file_is_runtime_error(self, workdir, tmp_path, capsys):
         bad = tmp_path / "bad.mlgo"
         bad.write_bytes(b"not an adapter file at all")
-        assert main(["inspect", "--input", str(bad)]) == 1
-        assert "error:" in capsys.readouterr().err
+        self._every_command_fails(bad, workdir / "a.mlgo", tmp_path, capsys)
 
     @staticmethod
     def _rewrite_header(src, dst, mutate):
@@ -182,8 +195,7 @@ class TestInspect:
                 entries[0]["shape"] = shape
         bad = tmp_path / "bad.mlgo"
         self._rewrite_header(workdir / "a.mlgo", bad, mutate)
-        assert main(["inspect", "--input", str(bad)]) == 1
-        assert "error:" in capsys.readouterr().err
+        self._every_command_fails(bad, workdir / "a.mlgo", tmp_path, capsys)
 
     @pytest.mark.parametrize("case", [
         "negative-shape", "negative-layer", "layer-out-of-range", "head-bias-shape",
@@ -202,5 +214,4 @@ class TestInspect:
                         entry["target"] = target
         bad = tmp_path / "bad.mlgo"
         self._rewrite_header(workdir / "a.mlgo", bad, mutate)
-        assert main(["inspect", "--input", str(bad)]) == 1
-        assert "error:" in capsys.readouterr().err
+        self._every_command_fails(bad, workdir / "a.mlgo", tmp_path, capsys)

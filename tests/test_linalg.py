@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from svdlora import linalg
+from svdlora.adapter import svd_factors
 from svdlora.errors import DimensionError, NumericError, ParameterError
 
 
@@ -67,9 +68,11 @@ class TestSvd:
         f.validate()
 
     def test_signed_diagonal(self):
-        f = linalg.svd(np.diag([3.0, -2.0]))
-        np.testing.assert_allclose(f.S, [3.0, 2.0], atol=1e-14)
-        np.testing.assert_allclose(f.reconstruct(), np.diag([3.0, -2.0]), atol=1e-12)
+        m = np.diag([3.0, -2.0, 0.5, -7.0])
+        f = linalg.svd(m)
+        assert np.array_equal(f.S, [7.0, 3.0, 2.0, 0.5])
+        assert np.array_equal(np.abs(f.V), np.eye(4)[:, [3, 0, 1, 2]])
+        np.testing.assert_allclose(f.reconstruct(), m, atol=1e-12)
 
     def test_matches_gram_eigendecomposition(self):
         rng = np.random.default_rng(23)
@@ -90,13 +93,31 @@ class TestSvd:
 
     def test_ill_conditioned_reconstruction(self):
         rng = np.random.default_rng(3)
-        u, _ = np.linalg.qr(rng.standard_normal((40, 40)))
-        v, _ = np.linalg.qr(rng.standard_normal((40, 40)))
-        s = np.logspace(0, -6, 40)
-        m = (u * s) @ v.T
+        for exponent in (6, 12):  # condition numbers 1e6 and 1e12
+            u, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+            v, _ = np.linalg.qr(rng.standard_normal((40, 40)))
+            s = np.logspace(0, -exponent, 40)
+            m = (u * s) @ v.T
+            f = linalg.svd(m)
+            err = np.linalg.norm(f.reconstruct() - m) / np.linalg.norm(m)
+            assert err <= 1e-9
+            f.validate()
+
+    def test_converges_in_few_sweeps(self, monkeypatch):
+        # Jacobi only polishes the Gram-eigenvector start; from the identity,
+        # these cores take 11-12 sweeps
+        monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 3)
+        rng = np.random.default_rng(29)
+        d, r, n = 128, 4, 7
+        b = np.hstack([rng.standard_normal((d, r)) for _ in range(n)])
+        e = rng.standard_normal(n * r) / n
+        a = np.vstack([rng.standard_normal((r, d)) for _ in range(n)])
+        f = svd_factors(b, e, a)
+        dense = (b * e) @ a
+        assert np.linalg.norm(f.reconstruct() - dense) <= 1e-12 * np.linalg.norm(dense)
+        m = rng.standard_normal((28, 28))
         f = linalg.svd(m)
-        err = np.linalg.norm(f.reconstruct() - m) / np.linalg.norm(m)
-        assert err <= 1e-9
+        assert np.linalg.norm(f.reconstruct() - m) <= 1e-12 * np.linalg.norm(m)
         f.validate()
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from svdlora import train
 from svdlora.adapter import AdapterSet, SvdLoraAdapter
 from svdlora.data import TaskSpec, generate_task
 from svdlora.errors import DataError, ModelError, ParameterError, TrainingError
@@ -332,6 +333,29 @@ class TestFinetune:
         rerun = train_adapter(model, spec, TrainConfig(seed=1, epochs=res.best_epoch + 1))
         assert all(np.array_equal(x, y) for x, y in
                    zip(tensors(res.adapter_set), tensors(rerun.adapter_set)))
+
+    def test_test_split_evaluated_once(self, model, monkeypatch):
+        # validate-then-test: the test split is scored once per training, on
+        # the best checkpoint, however often validation accuracy improves
+        spec = TaskSpec(task_seed=5, num_classes=2, separation=1.0)
+        dataset = generate_task(spec)
+        calls = []
+
+        def spy(model_, adapters, split, head=None):
+            calls.append("test" if split is dataset.test else "val")
+            return evaluate(model_, adapters, split, head=head)
+
+        monkeypatch.setattr(train, "evaluate", spy)
+        res = train_adapter(model, spec, TrainConfig(seed=1, epochs=6), dataset=dataset)
+        improvements = sum(acc > max(res.val_accs[:i], default=-1.0)
+                           for i, acc in enumerate(res.val_accs))
+        assert improvements > 1
+        assert calls.count("test") == 1
+        assert calls.count("val") == 6
+        monkeypatch.undo()
+        rerun = train_adapter(model, spec, TrainConfig(seed=1, epochs=res.best_epoch + 1),
+                              dataset=dataset)
+        assert rerun.test_acc == res.test_acc
 
     def test_epochs_to_accuracy(self):
         assert epochs_to_accuracy([0.5, 0.7, 0.85, 0.9], 0.8) == 3
