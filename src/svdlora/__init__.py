@@ -1,9 +1,9 @@
 """SVD-structured low-rank adapters: train, merge without training, evaluate."""
 
 from .adapter import (AdapterSet, ModelSignature, SvdLoraAdapter, TargetId,
-                      apply, canonicalize, delta, init_adapter, param_count)
+                      canonicalize, delta, init_adapter, param_count)
 from .data import Dataset, TaskSpec, generate_task
-from .linalg import SvdFactors, frobenius_norm, matmul, svd, truncate
+from .linalg import SvdFactors, frobenius_norm, svd, truncate
 from .merge import (MergeConfig, MergeMethod, MergeReport, baseline_pre_merge,
                     baseline_pre_merge_sets, baseline_task_arithmetic,
                     merge_sets, merge_target, premerge_postmerge_gap)
@@ -13,9 +13,9 @@ from .train import TrainConfig, TrainResult, evaluate, gradients, loss, train_ad
 
 __all__ = [
     "AdapterSet", "ModelSignature", "SvdLoraAdapter", "TargetId",
-    "apply", "canonicalize", "delta", "init_adapter", "param_count",
+    "canonicalize", "delta", "init_adapter", "param_count",
     "Dataset", "TaskSpec", "generate_task",
-    "SvdFactors", "frobenius_norm", "matmul", "svd", "truncate",
+    "SvdFactors", "frobenius_norm", "svd", "truncate",
     "MergeConfig", "MergeMethod", "MergeReport", "baseline_pre_merge",
     "baseline_pre_merge_sets", "baseline_task_arithmetic",
     "merge_sets", "merge_target", "premerge_postmerge_gap",

@@ -108,20 +108,6 @@ def delta(a: SvdLoraAdapter) -> np.ndarray:
     return (a.B * a.E) @ a.A
 
 
-def apply(a: SvdLoraAdapter, w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Adapted product ``w @ x + B @ diag(E) @ (A @ x)`` in factored order.
-
-    The largest temporary is r-by-batch; the dense delta is never formed.
-    """
-    w = linalg.as_matrix(w, "w")
-    x = linalg.as_matrix(x, "x")
-    if w.shape != a.shape:
-        raise DimensionError(f"weight shape {w.shape} != adapter shape {a.shape}")
-    if x.shape[0] != w.shape[1]:
-        raise DimensionError(f"input shape {x.shape} incompatible with weight {w.shape}")
-    return w @ x + a.B @ (a.E[:, None] * (a.A @ x))
-
-
 def svd_factors(B: np.ndarray, E: np.ndarray, A: np.ndarray) -> linalg.SvdFactors:
     """Thin SVD of ``B @ diag(E) @ A`` without forming the product.
 

@@ -16,14 +16,16 @@ from pathlib import Path
 
 from .adapter import AdapterSet
 from .data import TaskSpec, generate_task
-from .merge import (MergeConfig, MergeMethod, baseline_pre_merge_sets,
-                    baseline_task_arithmetic, merge_sets)
+from .merge import MergeConfig, MergeMethod, merge_sets
 from .model import TinyModel
 from .train import (TrainConfig, TrainResult, epochs_to_accuracy, evaluate,
                     train_adapter)
 
 REACH_TARGET = 0.8  # validation accuracy level for convergence-speed curves
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# Columns of the merge CSVs and summary tables: the specialists, then med-lego
+# and each baseline in MergeMethod order.
+MERGE_COLUMNS = ("specialist",) + tuple(m.value for m in MergeMethod)
 
 
 @dataclass(frozen=True)
@@ -143,10 +145,8 @@ def run_merge_experiment(model: TinyModel, tasks: tuple[TaskSpec, ...],
         specialists = [trained[(s, t.label)].adapter_set for t in tasks]
         heads = {t.label: (sp.head_w, sp.head_b)
                  for t, sp in zip(tasks, specialists)}
-        med, _ = merge_sets(specialists, MergeConfig(method=MergeMethod.MED_LEGO))
-        pre = baseline_pre_merge_sets(specialists)
-        arith = baseline_task_arithmetic(specialists)
-        merged = {"med-lego": med, "pre-avg": pre, "task-arith": arith}
+        merged = {m.value: merge_sets(specialists, MergeConfig(method=m))[0]
+                  for m in MergeMethod}
         accs: dict[str, dict[str, float]] = {"specialist": {}}
         for t, sp in zip(tasks, specialists):
             accs["specialist"][t.label] = trained[(s, t.label)].test_acc
@@ -157,7 +157,7 @@ def run_merge_experiment(model: TinyModel, tasks: tuple[TaskSpec, ...],
                 for t in tasks
             }
         result.accuracy[s] = accs
-        result.merged_sets[s] = med
+        result.merged_sets[s] = merged[MergeMethod.MED_LEGO.value]
     return result
 
 
@@ -202,7 +202,7 @@ def _write_lines(path: Path, lines: list[str]) -> None:
 def _merge_csv(result: MergeExperimentResult, suite: BenchSuite) -> list[str]:
     lines = ["suite_seed,method,task,accuracy"]
     for s in suite.run_seeds:
-        for method in ("specialist", "med-lego", "pre-avg", "task-arith"):
+        for method in MERGE_COLUMNS:
             for t in result.tasks:
                 acc = result.accuracy[s][method][t.label]
                 lines.append(f"{s},{method},{t.label},{acc:.17g}")
@@ -271,15 +271,13 @@ def run_bench(out_dir, suite: BenchSuite | None = None, jobs_n: int = 1):
         lines.append("")
         lines.append("Mean merged-model accuracy across tasks, per run seed:")
         lines.append("")
-        lines.append("| seed | specialist | med-lego | pre-avg | task-arith |")
-        lines.append("|------|------------|----------|---------|------------|")
+        header = ("seed",) + MERGE_COLUMNS
+        lines.append("| " + " | ".join(header) + " |")
+        lines.append("|" + "|".join("-" * (len(c) + 2) for c in header) + "|")
         for s in suite.run_seeds:
-            row = " | ".join(
-                f"{result.mean_accuracy(s, m):.4f}"
-                for m in ("specialist", "med-lego", "pre-avg", "task-arith")
-            )
+            row = " | ".join(f"{result.mean_accuracy(s, m):.4f}" for m in MERGE_COLUMNS)
             lines.append(f"| {s} | {row} |")
-        for baseline in ("pre-avg", "task-arith"):
+        for baseline in MERGE_COLUMNS[2:]:
             wins, total = majority_med_lego_wins(result, suite, baseline)
             lines.append("")
             lines.append(

@@ -16,9 +16,7 @@ from . import bench as bench_mod
 from .adapter import SvdLoraAdapter, init_adapter, param_count, svd_factors
 from .data import TaskSpec, generate_task
 from .errors import ToolkitError
-from .merge import (MergeConfig, MergeMethod, MergeReport, TargetRecord,
-                    baseline_pre_merge_sets, baseline_task_arithmetic,
-                    full_spectrum, merge_sets, premerge_postmerge_gap)
+from .merge import MergeConfig, MergeMethod, merge_sets, premerge_postmerge_gap
 from .model import TinyModel, backbone_param_count
 from .storage import load_adapter_set, save_adapter_set, save_merge_report
 from .train import TrainConfig, curve_csv_lines, evaluate, train_adapter
@@ -86,25 +84,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_merge(args) -> int:
-    sets = [load_adapter_set(p) for p in args.inputs]
-    method = MergeMethod(args.method)
-    cfg = MergeConfig(method=method, threshold_v=args.threshold,
+    cfg = MergeConfig(method=MergeMethod(args.method), threshold_v=args.threshold,
                       max_rank=args.max_rank, lam=args.lam)
-    if method is MergeMethod.MED_LEGO:
-        merged, report = merge_sets(sets, cfg)
-    else:
-        if method is MergeMethod.PRE_MERGE_AVERAGE:
-            merged = baseline_pre_merge_sets(sets)
-        else:
-            merged = baseline_task_arithmetic(sets, args.lam)
-        report = MergeReport(config=cfg, input_digests=[s.digest() for s in sets])
-        for tid in merged.sorted_targets():
-            a = merged.adapters[tid]
-            report.records.append(TargetRecord(
-                target=tid, input_ranks=tuple(s.adapters[tid].rank for s in sets),
-                spectrum=full_spectrum(svd_factors(a.B, a.E, a.A)),
-                kept_rank=a.rank, retained_mass=1.0,
-            ))
+    merged, report = merge_sets([load_adapter_set(p) for p in args.inputs], cfg)
     save_adapter_set(merged, args.out)
     if args.report:
         save_merge_report(report, args.report)

@@ -34,21 +34,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with explicit shape checking."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(
-            f"cannot multiply shapes {a.shape} and {b.shape}: "
-            f"{a.shape[1]} != {b.shape[0]}"
-        )
-    out = a @ b
-    if not np.all(np.isfinite(out)):
-        raise NumericError("matrix product overflowed to non-finite values")
-    return out
-
-
 def frobenius_norm(m: np.ndarray) -> float:
     """sqrt of the sum of squared entries."""
     m = as_matrix(m, "matrix")

@@ -1,12 +1,14 @@
 """Training-free merging of adapter sets.
 
-The main route averages the deltas of all inputs, SVD-decomposes the
-average, and keeps the leading components up to a cumulative singular-mass
-threshold. The average is never formed densely: the inputs are stacked
-into one wide adapter (``[B_i]``, ``[E_i]/N``, ``[A_i]``) whose SVD comes
-from :func:`adapter.svd_factors`, the package's one route to SVD form.
-Baselines: factor-wise (pre-multiplication) averaging, and task arithmetic,
-which is the same stack scaled by lambda with every non-zero component kept.
+:func:`merge_sets` is the one entry point; :func:`merge_target` merges one
+target by ``MergeConfig.method``. The main route (med-lego) averages the
+deltas of all inputs, SVD-decomposes the average, and keeps the leading
+components up to a cumulative singular-mass threshold. The average is never
+formed densely: the inputs are stacked into one wide adapter (``[B_i]``,
+``[E_i]/N``, ``[A_i]``) whose SVD comes from :func:`adapter.svd_factors`, the
+package's one route to SVD form. Baselines: task arithmetic, the same stack
+scaled by lambda with every non-zero component kept, and factor-wise
+(pre-multiplication) averaging.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ class MergeConfig:
             raise ParameterError(f"threshold must lie in (0, 1], got {self.threshold_v}")
         if self.max_rank is not None and self.max_rank < 1:
             raise ParameterError(f"max_rank must be positive, got {self.max_rank}")
+        if self.lam is not None and self.method is not MergeMethod.TASK_ARITHMETIC:
+            raise ParameterError("lambda applies to task-arith only")
 
     def as_dict(self) -> dict:
         return {
@@ -119,27 +123,41 @@ def full_spectrum(f: linalg.SvdFactors) -> tuple[float, ...]:
 
 def merge_target(adapters: list[SvdLoraAdapter],
                  cfg: MergeConfig) -> tuple[SvdLoraAdapter, TargetRecord]:
-    """Average deltas, decompose, and truncate by singular mass.
+    """Merge one target's adapters by ``cfg.method``.
 
-    Input ranks may differ; the result is canonical by construction with
-    rank k chosen so the kept singular values carry at least ``threshold_v``
-    of the total singular mass.
+    med-lego: SVD of the mean delta from the stacked factors, truncated so
+    the kept singular values carry at least ``threshold_v`` of the singular
+    mass. task-arith: SVD of ``lam * sum_i delta_i`` (lam defaults to 1/N)
+    from the same stack, every non-zero component kept. pre-avg: the
+    factor-wise average, whose SVD serves the record only. Input ranks may
+    differ except for pre-avg. The record's spectrum is that of the merged
+    delta before any cut; its kept rank is the returned adapter's rank.
     """
     if not adapters:
         raise ParameterError("need at least one adapter to merge")
     _check_same_shape(adapters)
-    f = _stacked_svd(adapters, 1.0 / len(adapters))
-    kept = linalg.truncate(f, cfg.threshold_v, cfg.max_rank)
+    target = adapters[0].target
+    if cfg.method is MergeMethod.PRE_MERGE_AVERAGE:
+        merged = baseline_pre_merge(adapters)
+        f = kept = svd_factors(merged.B, merged.E, merged.A)
+    elif cfg.method in (MergeMethod.MED_LEGO, MergeMethod.TASK_ARITHMETIC):
+        f = _stacked_svd(adapters, 1.0 / len(adapters) if cfg.lam is None else cfg.lam)
+        if cfg.method is MergeMethod.MED_LEGO:
+            kept = linalg.truncate(f, cfg.threshold_v, cfg.max_rank)
+        else:
+            kept = drop_zeros(f)
+        merged = from_svd(target, kept)
+    else:
+        raise ParameterError(f"unknown merge method {cfg.method!r}")
     total = float(np.sum(f.S))
-    retained = float(np.sum(kept.S)) / total if total > 0 else 1.0
     record = TargetRecord(
-        target=adapters[0].target,
+        target=target,
         input_ranks=tuple(a.rank for a in adapters),
         spectrum=full_spectrum(f),
-        kept_rank=kept.rank,
-        retained_mass=retained,
+        kept_rank=merged.rank,
+        retained_mass=float(np.sum(kept.S)) / total if total > 0 else 1.0,
     )
-    return from_svd(adapters[0].target, kept), record
+    return merged, record
 
 
 def _check_compatible_sets(sets: list[AdapterSet]) -> list[TargetId]:
@@ -210,37 +228,16 @@ def baseline_pre_merge(adapters: list[SvdLoraAdapter]) -> SvdLoraAdapter:
     )
 
 
+# perfbench's tracer binds the two wrappers below by name.
 def baseline_pre_merge_sets(sets: list[AdapterSet]) -> AdapterSet:
-    """Factor-wise averaging applied target by target across sets."""
-    targets = _check_compatible_sets(sets)
-    merged = {t: baseline_pre_merge([s.adapters[t] for s in sets]) for t in targets}
-    return AdapterSet(
-        signature=sets[0].signature,
-        adapters=merged,
-        metadata={"kind": "merged", "method": MergeMethod.PRE_MERGE_AVERAGE.value},
-    )
+    """``merge_sets`` with factor-wise averaging, without the report."""
+    return merge_sets(sets, MergeConfig(method=MergeMethod.PRE_MERGE_AVERAGE))[0]
 
 
 def baseline_task_arithmetic(sets: list[AdapterSet],
                              lam: float | None = None) -> AdapterSet:
-    """Scaled sum of per-task deltas, as an exact low-rank adapter set.
-
-    With the backbone frozen each task vector is exactly the adapter delta,
-    so task arithmetic reduces to ``lam * sum_i delta_i`` per target: the
-    stacked adapter, canonicalized, of rank at most sum_i r_i.
-    """
-    targets = _check_compatible_sets(sets)
-    if lam is None:
-        lam = 1.0 / len(sets)
-    merged = {
-        t: from_svd(t, drop_zeros(_stacked_svd([s.adapters[t] for s in sets], lam)))
-        for t in targets
-    }
-    return AdapterSet(
-        signature=sets[0].signature,
-        adapters=merged,
-        metadata={"kind": "merged", "method": MergeMethod.TASK_ARITHMETIC.value},
-    )
+    """``merge_sets`` with task arithmetic at ``lam``, without the report."""
+    return merge_sets(sets, MergeConfig(method=MergeMethod.TASK_ARITHMETIC, lam=lam))[0]
 
 
 def premerge_postmerge_gap(adapters: list[SvdLoraAdapter]) -> float:

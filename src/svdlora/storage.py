@@ -135,7 +135,7 @@ def load_adapter_set(path) -> AdapterSet:
         raise CorruptionError(f"{path}: declared header length {header_len} exceeds file")
     try:
         header = json.loads(blob[_PREFIX.size:_PREFIX.size + header_len].decode("utf-8"))
-        directory = header["tensors"]
+        directory = list(header["tensors"])
         signature = ModelSignature.from_dict(header["model_signature"])
         metadata = dict(header["metadata"])
     except (ValueError, KeyError, TypeError) as exc:
@@ -167,7 +167,7 @@ def load_adapter_set(path) -> AdapterSet:
         if role in ("B", "E", "A"):
             try:
                 tid = TargetId.parse(str(entry["target"]))
-            except (ValueError, AttributeError, ToolkitError) as exc:
+            except (KeyError, ValueError, AttributeError, ToolkitError) as exc:
                 raise CorruptionError(f"{path}: bad target in entry {name}") from exc
             per_target.setdefault(tid, {})[role] = tensors[name]
         elif role == "head_w":

@@ -78,28 +78,6 @@ class TestDelta:
                                    rtol=1e-13, atol=1e-13)
 
 
-class TestApply:
-    def test_fresh_adapter_is_plain_product(self):
-        rng = np.random.default_rng(0)
-        a = ad.init_adapter(8, 8, 4, seed=1)
-        w = rng.standard_normal((8, 8))
-        x = rng.standard_normal((8, 5))
-        assert np.array_equal(ad.apply(a, w, x), w @ x)
-
-    def test_matches_dense_path(self):
-        rng = np.random.default_rng(4)
-        a = random_adapter(4)
-        w = rng.standard_normal((8, 8))
-        x = rng.standard_normal((8, 6))
-        dense = w @ x + ad.delta(a) @ x
-        np.testing.assert_allclose(ad.apply(a, w, x), dense, atol=1e-10)
-
-    def test_shape_mismatch(self):
-        a = random_adapter(4)
-        with pytest.raises(DimensionError):
-            ad.apply(a, np.zeros((8, 8)), np.zeros((7, 2)))
-
-
 class TestCanonicalize:
     def test_fixed_point(self):
         raw = random_adapter(9)

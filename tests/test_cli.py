@@ -73,10 +73,25 @@ class TestMerge:
 
     def test_baseline_methods_run(self, workdir, tmp_path):
         for method in ("pre-avg", "task-arith"):
+            out, rep = tmp_path / f"{method}.mlgo", tmp_path / f"{method}.json"
             assert main(["merge", "--inputs", str(workdir / "a.mlgo"),
                          str(workdir / "b.mlgo"), "--method", method,
-                         "--out", str(tmp_path / f"{method}.mlgo")]) == 0
-            assert load_adapter_set(tmp_path / f"{method}.mlgo").adapters
+                         "--out", str(out), "--report", str(rep)]) == 0
+            merged = load_adapter_set(out)
+            assert merged.adapters
+            report = load_merge_report(rep)
+            assert report["config"]["method"] == method
+            for rec in report["records"]:
+                tid = next(t for t in merged.adapters if str(t) == rec["target"])
+                assert rec["kept_rank"] == merged.adapters[tid].rank
+
+    @pytest.mark.parametrize("method", ["med-lego", "pre-avg"])
+    def test_lambda_needs_task_arithmetic(self, workdir, tmp_path, capsys, method):
+        code = main(["merge", "--inputs", str(workdir / "a.mlgo"), "--method", method,
+                     "--lambda", "2", "--out", str(tmp_path / "m.mlgo")])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "m.mlgo").exists()
 
     def test_threshold_out_of_range_is_usage_error(self, workdir, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -180,7 +195,7 @@ class TestInspect:
         blob = src.read_bytes()
         magic, version, header_len = struct.unpack_from("<4sIQ", blob)
         header = json.loads(blob[16:16 + header_len])
-        mutate(header["tensors"])
+        mutate(header)
         raw = json.dumps(header).encode()
         raw += b" " * ((-len(raw)) % 8)
         dst.write_bytes(struct.pack("<4sIQ", magic, version, len(raw)) + raw
@@ -188,21 +203,28 @@ class TestInspect:
 
     @pytest.mark.parametrize("shape", [None, "x"])
     def test_malformed_shape_is_runtime_error(self, workdir, tmp_path, capsys, shape):
-        def mutate(entries):
+        def mutate(header):
             if shape is None:
-                del entries[0]["shape"]
+                del header["tensors"][0]["shape"]
             else:
-                entries[0]["shape"] = shape
+                header["tensors"][0]["shape"] = shape
         bad = tmp_path / "bad.mlgo"
         self._rewrite_header(workdir / "a.mlgo", bad, mutate)
         self._every_command_fails(bad, workdir / "a.mlgo", tmp_path, capsys)
 
     @pytest.mark.parametrize("case", [
         "negative-shape", "negative-layer", "layer-out-of-range", "head-bias-shape",
+        "missing-target", "tensors-null", "tensors-number", "tensors-bool",
     ])
     def test_inconsistent_header_is_runtime_error(self, workdir, tmp_path, capsys, case):
-        def mutate(entries):
-            if case == "negative-shape":
+        def mutate(header):
+            entries = header["tensors"]
+            if case.startswith("tensors-"):
+                header["tensors"] = {"tensors-null": None, "tensors-number": 5,
+                                     "tensors-bool": True}[case]
+            elif case == "missing-target":
+                del entries[0]["target"]
+            elif case == "negative-shape":
                 entries[0]["shape"] = [-dim for dim in entries[0]["shape"]]
             elif case == "head-bias-shape":
                 bias = next(e for e in entries if e["role"] == "head_b")

@@ -4,45 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from svdlora import linalg
 from svdlora.adapter import svd_factors
-from svdlora.errors import DimensionError, NumericError, ParameterError
-
-
-def naive_matmul(a, b):
-    """Independent triple-loop product used as the oracle."""
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            acc = 0.0
-            for k in range(a.shape[1]):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = np.arange(9.0).reshape(3, 3)
-        assert np.array_equal(linalg.matmul(np.eye(3), m), m)
-
-    def test_hand_computed(self):
-        out = linalg.matmul(np.array([[1.0, 2.0], [3.0, 4.0]]),
-                            np.array([[0.0], [1.0]]))
-        assert np.array_equal(out, [[2.0], [4.0]])
-
-    def test_against_triple_loop(self):
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal((5, 7))
-        b = rng.standard_normal((7, 3))
-        np.testing.assert_allclose(linalg.matmul(a, b), naive_matmul(a, b),
-                                   rtol=1e-13, atol=1e-13)
-
-    def test_shape_mismatch_names_shapes(self):
-        with pytest.raises(DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
-            linalg.matmul(np.zeros((2, 3)), np.zeros((2, 2)))
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(NumericError):
-            linalg.matmul(np.array([[np.nan]]), np.array([[1.0]]))
+from svdlora.errors import NumericError, ParameterError
 
 
 class TestFrobenius:

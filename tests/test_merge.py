@@ -84,23 +84,38 @@ class TestMergeTarget:
         ((1, 2), (8, 8)),        # sum of ranks 3 < d: exact zeros past it
         ((4, 1, 3, 2), (8, 8)),  # sum of ranks 10 > d, unequal ranks
         ((3, 3, 3), (5, 9)),     # sum of ranks 9 > min(d_m, d_n) = 5
+        ((2, 2), (8, 8)),        # equal ranks summing below d
     ])
     def test_report_spectrum_matches_lapack(self, ranks, shape):
+        # Every method reports its merged delta's spectrum before any cut;
+        # pre-avg needs equal ranks, so only the equal-rank cases check it.
         rng = np.random.default_rng(len(ranks))
         adapters = [SvdLoraAdapter(target=TargetId(0, "Q"),
                                    B=rng.standard_normal((shape[0], r)),
                                    E=rng.standard_normal(r),
                                    A=rng.standard_normal((r, shape[1])))
                     for r in ranks]
-        merged, rec = mg.merge_target(adapters, mg.MergeConfig())
         mean = sum(delta(a) for a in adapters) / len(adapters)
-        sigma = np.linalg.svd(mean, compute_uv=False)
-        spec = np.asarray(rec.spectrum)
-        assert spec.shape == (min(shape),)
-        assert np.all(spec[sum(ranks):] == 0.0)
-        np.testing.assert_allclose(spec, sigma, rtol=0, atol=1e-10 * sigma[0])
-        np.testing.assert_allclose(merged.E, sigma[:rec.kept_rank],
-                                   rtol=0, atol=1e-10 * sigma[0])
+        references = {mg.MergeMethod.MED_LEGO: (mean, sum(ranks)),
+                      mg.MergeMethod.TASK_ARITHMETIC: (mean, sum(ranks))}
+        if len(set(ranks)) == 1:
+            references[mg.MergeMethod.PRE_MERGE_AVERAGE] = (
+                delta(mg.baseline_pre_merge(adapters)), ranks[0])
+        for method, (want, width) in references.items():
+            merged, rec = mg.merge_target(adapters, mg.MergeConfig(method=method))
+            sigma = np.linalg.svd(want, compute_uv=False)
+            spec = np.asarray(rec.spectrum)
+            assert spec.shape == (min(shape),), method
+            assert np.all(spec[width:] == 0.0), method
+            np.testing.assert_allclose(spec, sigma, rtol=0, atol=1e-10 * sigma[0])
+            assert rec.kept_rank == merged.rank, method
+            if method is not mg.MergeMethod.PRE_MERGE_AVERAGE:
+                np.testing.assert_allclose(merged.E, sigma[:rec.kept_rank],
+                                           rtol=0, atol=1e-10 * sigma[0])
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ParameterError, match="unknown merge method"):
+            mg.merge_target([random_adapter(1)], mg.MergeConfig(method="med-lego"))
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 10**6), st.floats(1e-3, 1e3))
@@ -148,6 +163,28 @@ class TestMergeSets:
         s2.adapters.pop(TargetId(0, "V"))
         with pytest.raises(MergeError, match="layer0.V"):
             mg.merge_sets([s1, s2], mg.MergeConfig())
+
+    @pytest.mark.parametrize("method, lam", [
+        (mg.MergeMethod.MED_LEGO, None),
+        (mg.MergeMethod.TASK_ARITHMETIC, None),
+        (mg.MergeMethod.TASK_ARITHMETIC, 0.5),
+        (mg.MergeMethod.PRE_MERGE_AVERAGE, None),
+    ], ids=["med-lego", "task-arith", "task-arith-0.5", "pre-avg"])
+    def test_honours_method(self, method, lam):
+        sets = [make_set(i) for i in range(3)]
+        cfg = mg.MergeConfig(method=method, lam=lam)
+        out, report = mg.merge_sets(sets, cfg)
+        assert out.metadata["method"] == method.value
+        assert report.config == cfg
+        for t, a in out.adapters.items():
+            inputs = [s.adapters[t] for s in sets]
+            if method is mg.MergeMethod.MED_LEGO:
+                want = delta(mg.merge_target(inputs, cfg)[0])
+            elif method is mg.MergeMethod.TASK_ARITHMETIC:
+                want = (1 / len(sets) if lam is None else lam) * sum(map(delta, inputs))
+            else:
+                want = delta(mg.baseline_pre_merge(inputs))
+            assert np.linalg.norm(delta(a) - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_report_records_sorted_by_target(self):
         sets = [make_set(i, layers=2) for i in range(2)]
@@ -240,3 +277,9 @@ class TestMergeConfig:
     def test_threshold_domain(self, v):
         with pytest.raises(ParameterError):
             mg.MergeConfig(threshold_v=v)
+
+    def test_lambda_only_with_task_arithmetic(self):
+        for method in (mg.MergeMethod.MED_LEGO, mg.MergeMethod.PRE_MERGE_AVERAGE):
+            with pytest.raises(ParameterError, match="lambda"):
+                mg.MergeConfig(method=method, lam=2.0)
+        assert mg.MergeConfig(method=mg.MergeMethod.TASK_ARITHMETIC, lam=2.0).lam == 2.0

@@ -176,8 +176,13 @@ class TestCorruption:
         (_retarget_layer0_q("layer-1.Q"), "bad target"),
         (_retarget_layer0_q("layer5.Q"), "out of range"),
         (_head_bias_as_row, "head bias shape"),
+        (lambda header: header["tensors"][0].pop("target"), "bad target"),
+        (lambda header: header.__setitem__("tensors", None), "malformed header"),
+        (lambda header: header.__setitem__("tensors", 5), "malformed header"),
+        (lambda header: header.__setitem__("tensors", True), "malformed header"),
     ], ids=["negative-shape", "negative-layer", "layer-out-of-range",
-            "head-bias-shape"])
+            "head-bias-shape", "missing-target", "tensors-null", "tensors-number",
+            "tensors-bool"])
     def test_inconsistent_header(self, saved, mutate, match):
         self._rewrite_header(saved, mutate)
         with pytest.raises(CorruptionError, match=match):
