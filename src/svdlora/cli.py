@@ -16,7 +16,8 @@ from . import bench as bench_mod
 from .adapter import SvdLoraAdapter, init_adapter, param_count, svd_factors
 from .data import TaskSpec, generate_task
 from .errors import ToolkitError
-from .merge import MergeConfig, MergeMethod, merge_sets, premerge_postmerge_gap
+from .merge import (DEFAULT_THRESHOLD, MergeConfig, MergeMethod, merge_sets,
+                    premerge_postmerge_gap)
 from .model import TinyModel, backbone_param_count
 from .storage import load_adapter_set, save_adapter_set, save_merge_report
 from .train import TrainConfig, curve_csv_lines, evaluate, train_adapter
@@ -192,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inputs", nargs="+", required=True)
     p.add_argument("--method", choices=[m.value for m in MergeMethod],
                    default=MergeMethod.MED_LEGO.value)
-    p.add_argument("--threshold", type=_fraction, default=0.997)
+    p.add_argument("--threshold", type=_fraction, default=DEFAULT_THRESHOLD)
     p.add_argument("--max-rank", type=_positive_int, default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--out", required=True)

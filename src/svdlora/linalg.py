@@ -5,8 +5,11 @@ one-sided Jacobi iteration (rotations applied to columns until all column
 pairs are orthogonal), which is simple, deterministic and accurate at the
 small sizes this toolkit works with. It starts from the eigenvectors of the
 Gram matrix, so the rotations only polish an already nearly orthogonal set of
-columns, usually in one sweep. No LAPACK SVD driver is used; the symmetric
-eigensolver supplies the starting basis only.
+columns. When every pair's rotation is tiny, all of them are applied at once
+as one matrix product; a cluster of nearly equal singular values makes some
+rotation large, and then a round-robin sweep of pairwise rotations runs
+instead. No LAPACK SVD driver is used; the symmetric eigensolver supplies the
+starting basis only.
 """
 
 from __future__ import annotations
@@ -20,6 +23,9 @@ from .errors import ConvergenceError, DimensionError, NumericError, ParameterErr
 # Relative off-diagonal level below which a column pair counts as orthogonal.
 _JACOBI_TOL = 1e-13
 _JACOBI_MAX_SWEEPS = 60
+# Largest rotation tangent the simultaneous polish applies; the second-order
+# term it skips is at most n * t**2 per entry.
+_POLISH_MAX_TANGENT = 1e-8
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -121,14 +127,40 @@ def _complete_orthonormal(u: np.ndarray, dead: np.ndarray) -> None:
         u[:, j] = v
 
 
-def _off_diagonal_level(gram: np.ndarray) -> float:
-    """Largest ``|g_ij| / sqrt(g_ii * g_jj)`` over column pairs i != j of a
-    Gram matrix; pairs with a zero column count as orthogonal."""
+def _relative_gram(gram: np.ndarray) -> np.ndarray:
+    """``|g_ij| / sqrt(g_ii * g_jj)`` for every column pair i != j of a Gram
+    matrix, zero on the diagonal; pairs with a zero column count as orthogonal."""
     norms = np.sqrt(np.diag(gram))
     scale = np.outer(norms, norms)
     rel = np.divide(np.abs(gram), scale, out=np.zeros_like(gram), where=scale > 0)
     np.fill_diagonal(rel, 0.0)
-    return float(rel.max())
+    return rel
+
+
+def _rotation_tangent(a: np.ndarray, b: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Rutishauser tangent of the rotation that makes a column pair with
+    squared norms ``a``, ``b`` and inner product ``g != 0`` orthogonal:
+    |angle| <= pi/4, required for convergence under the parallel ordering."""
+    tau = (b - a) / (2.0 * g)
+    return np.where(tau >= 0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+
+
+def _polish_rotation(gram: np.ndarray, rel: np.ndarray) -> np.ndarray | None:
+    """``I + T`` applying every non-orthogonal pair's rotation at once to
+    first order, or None when some tangent exceeds ``_POLISH_MAX_TANGENT``.
+
+    ``T`` is antisymmetric with ``T[i, j] = t_ij`` for i < j, so
+    ``work @ (I + T)`` moves column i by ``-t_ij * work[:, j]`` and column j by
+    ``t_ij * work[:, i]``, as the pairwise rotation does up to ``O(t**2)``.
+    """
+    ii, jj = np.nonzero(np.triu(rel > _JACOBI_TOL, 1))
+    t = _rotation_tangent(gram[ii, ii], gram[jj, jj], gram[ii, jj])
+    if np.max(np.abs(t)) > _POLISH_MAX_TANGENT:
+        return None
+    r = np.eye(len(gram))
+    r[ii, jj] = t
+    r[jj, ii] = -t
+    return r
 
 
 def _jacobi_sweep(work: np.ndarray, v: np.ndarray, rounds) -> None:
@@ -145,11 +177,7 @@ def _jacobi_sweep(work: np.ndarray, v: np.ndarray, rounds) -> None:
         hot = rel > _JACOBI_TOL
         if not np.any(hot):
             continue
-        # Rutishauser rotation: |angle| <= pi/4, required for convergence
-        # under this parallel pair ordering.
-        gh = g[hot]
-        tau = (b[hot] - a[hot]) / (2.0 * gh)
-        t = np.where(tau >= 0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
+        t = _rotation_tangent(a[hot], b[hot], g[hot])
         c = 1.0 / np.sqrt(1.0 + t * t)
         s = c * t
         ii = idx_i[hot]
@@ -169,13 +197,19 @@ def svd(m: np.ndarray) -> SvdFactors:
 
     Rotations are applied to the side with fewer columns; if the input has
     more columns than rows it is transposed first and U/V swapped back.
-    Before each sweep one Gram product tests every column pair against the
-    tolerance, and sweeps run only while some pair fails it, so input with
+    Each step forms one Gram product and tests every column pair against the
+    tolerance; steps run only while some pair fails it, so input with
     orthogonal columns (a diagonal matrix, canonical factors) needs no
     rotation. Otherwise the columns are first rotated by the eigenvectors of
-    ``m.T @ m`` in descending order (``v = V0``, ``work = m @ V0``); the
-    sweeps then polish what the squared problem left inexact, which keeps
-    Jacobi's accuracy on small singular values.
+    ``m.T @ m`` in descending order (``v = V0``, ``work = m @ V0``), and the
+    steps then polish what the squared problem left inexact, which keeps
+    Jacobi's accuracy on small singular values. A step takes every failing
+    pair's rotation tangent from the same Gram matrix. If all of them are at
+    most ``_POLISH_MAX_TANGENT``, it applies them at once as ``I + T`` (the
+    usual case: the warm start leaves tangents near 1e-10). Otherwise, as on
+    nearly repeated singular values, it runs one round-robin sweep of exact
+    pairwise rotations. Both kinds of step count toward
+    ``_JACOBI_MAX_SWEEPS``.
     """
     m = as_matrix(m, "matrix")
     if m.shape[1] > m.shape[0]:
@@ -184,25 +218,36 @@ def svd(m: np.ndarray) -> SvdFactors:
 
     n = m.shape[1]
     gram = m.T @ m
-    residual = _off_diagonal_level(gram)
-    if residual <= _JACOBI_TOL:
-        work, v = m, np.eye(n)  # no sweep will run, so work is only read
+    rel = _relative_gram(gram)
+    if rel.max() <= _JACOBI_TOL:
+        work, v = m, np.eye(n)  # no step will run, so work is only read
     else:
         v = np.linalg.eigh(gram)[1][:, ::-1].copy()
         work = m @ v
-        residual = _off_diagonal_level(work.T @ work)
-    rounds = _round_robin_rounds(n) if residual > _JACOBI_TOL else []
-    sweeps = 0
+        gram = work.T @ work
+        rel = _relative_gram(gram)
+    residual = float(rel.max())
+    rounds = None
+    steps = 0
     while residual > _JACOBI_TOL:
-        if sweeps == _JACOBI_MAX_SWEEPS:
+        if steps == _JACOBI_MAX_SWEEPS:
             raise ConvergenceError(
                 f"Jacobi SVD did not converge in {_JACOBI_MAX_SWEEPS} sweeps "
                 f"(residual {residual:.3e})",
                 residual=residual,
             )
-        _jacobi_sweep(work, v, rounds)
-        sweeps += 1
-        residual = _off_diagonal_level(work.T @ work)
+        r = _polish_rotation(gram, rel)
+        if r is not None:
+            work = work @ r
+            v = v @ r
+        else:
+            if rounds is None:
+                rounds = _round_robin_rounds(n)
+            _jacobi_sweep(work, v, rounds)
+        steps += 1
+        gram = work.T @ work
+        rel = _relative_gram(gram)
+        residual = float(rel.max())
 
     norms = np.sqrt(np.einsum("ij,ij->j", work, work))
     order = np.argsort(-norms, kind="stable")

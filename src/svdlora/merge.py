@@ -42,6 +42,10 @@ DEFAULT_THRESHOLD = 0.997
 
 @dataclass(frozen=True)
 class MergeConfig:
+    """``threshold_v`` and ``max_rank`` set med-lego's cut and ``lam`` task
+    arithmetic's scale; setting one for a method it does not apply to is a
+    ``ParameterError``, not silently ignored."""
+
     method: MergeMethod = MergeMethod.MED_LEGO
     threshold_v: float = DEFAULT_THRESHOLD
     max_rank: int | None = None
@@ -54,6 +58,9 @@ class MergeConfig:
             raise ParameterError(f"max_rank must be positive, got {self.max_rank}")
         if self.lam is not None and self.method is not MergeMethod.TASK_ARITHMETIC:
             raise ParameterError("lambda applies to task-arith only")
+        if self.method is not MergeMethod.MED_LEGO and (
+                self.threshold_v != DEFAULT_THRESHOLD or self.max_rank is not None):
+            raise ParameterError("threshold and max_rank apply to med-lego only")
 
     def as_dict(self) -> dict:
         return {

@@ -85,10 +85,17 @@ class TestMerge:
                 tid = next(t for t in merged.adapters if str(t) == rec["target"])
                 assert rec["kept_rank"] == merged.adapters[tid].rank
 
-    @pytest.mark.parametrize("method", ["med-lego", "pre-avg"])
-    def test_lambda_needs_task_arithmetic(self, workdir, tmp_path, capsys, method):
+    @pytest.mark.parametrize("method, flag", [
+        pytest.param(method, flag, id=f"{method}{suffix}")
+        for method, flag, suffix in [
+            ("med-lego", ["--lambda", "2"], ""), ("pre-avg", ["--lambda", "2"], ""),
+            ("task-arith", ["--max-rank", "1"], "-max-rank"),
+            ("task-arith", ["--threshold", "0.9"], "-threshold"),
+            ("pre-avg", ["--max-rank", "1"], "-max-rank"),
+            ("pre-avg", ["--threshold", "0.9"], "-threshold")]])
+    def test_lambda_needs_task_arithmetic(self, workdir, tmp_path, capsys, method, flag):
         code = main(["merge", "--inputs", str(workdir / "a.mlgo"), "--method", method,
-                     "--lambda", "2", "--out", str(tmp_path / "m.mlgo")])
+                     *flag, "--out", str(tmp_path / "m.mlgo")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "m.mlgo").exists()

@@ -4,7 +4,19 @@ from hypothesis import given, settings, strategies as st
 
 from svdlora import linalg
 from svdlora.adapter import svd_factors
-from svdlora.errors import NumericError, ParameterError
+from svdlora.errors import ConvergenceError, NumericError, ParameterError
+
+
+def stacked_core(rng, graded=False, d=128, r=4, n=7):
+    """Factors of n stacked rank-r deltas at width d, scaled 1/n as a merge
+    does; ``graded`` spectra fall tenfold per component, as trained ones do."""
+    b = np.hstack([rng.standard_normal((d, r)) for _ in range(n)])
+    if graded:
+        e = np.tile(10.0 ** -np.arange(r), n) * rng.uniform(0.5, 2.0, n * r) / n
+    else:
+        e = rng.standard_normal(n * r) / n
+    a = np.vstack([rng.standard_normal((r, d)) for _ in range(n)])
+    return b, e, a
 
 
 class TestFrobenius:
@@ -70,10 +82,7 @@ class TestSvd:
         # these cores take 11-12 sweeps
         monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 3)
         rng = np.random.default_rng(29)
-        d, r, n = 128, 4, 7
-        b = np.hstack([rng.standard_normal((d, r)) for _ in range(n)])
-        e = rng.standard_normal(n * r) / n
-        a = np.vstack([rng.standard_normal((r, d)) for _ in range(n)])
+        b, e, a = stacked_core(rng)
         f = svd_factors(b, e, a)
         dense = (b * e) @ a
         assert np.linalg.norm(f.reconstruct() - dense) <= 1e-12 * np.linalg.norm(dense)
@@ -81,6 +90,44 @@ class TestSvd:
         f = linalg.svd(m)
         assert np.linalg.norm(f.reconstruct() - m) <= 1e-12 * np.linalg.norm(m)
         f.validate()
+
+    def test_polish_without_sweep(self, monkeypatch):
+        # the warm start leaves the small components of a graded merge core
+        # inexact but every rotation tangent tiny, so one simultaneous
+        # rotation converges and no sweep runs
+        def no_sweep(*args):
+            raise AssertionError("round-robin sweep ran")
+        monkeypatch.setattr(linalg, "_jacobi_sweep", no_sweep)
+        b, e, a = stacked_core(np.random.default_rng(29), graded=True)
+        f = svd_factors(b, e, a)
+        expected = np.linalg.svd((b * e) @ a, compute_uv=False)[:len(e)]
+        np.testing.assert_allclose(f.S, expected, rtol=1e-12, atol=0)
+        f.validate()
+
+    def test_clustered_spectrum_falls_back_to_sweep(self, monkeypatch):
+        # the two smallest singular values are 1e-9 apart: the squared
+        # problem cannot separate them, so their rotation is large
+        sweeps = []
+        sweep = linalg._jacobi_sweep
+        monkeypatch.setattr(linalg, "_jacobi_sweep",
+                            lambda *args: (sweeps.append(1), sweep(*args)))
+        rng = np.random.default_rng(37)
+        u, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+        v, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+        s = np.logspace(0, -3, 12)
+        s[-1] = s[-2] - 1e-9
+        m = (u * s) @ v.T
+        f = linalg.svd(m)
+        assert sweeps
+        np.testing.assert_allclose(f.S, np.linalg.svd(m, compute_uv=False),
+                                   rtol=1e-12, atol=0)
+        f.validate()
+
+    def test_polish_counts_toward_the_cap(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 0)
+        b, e, a = stacked_core(np.random.default_rng(29), graded=True)
+        with pytest.raises(ConvergenceError):
+            svd_factors(b, e, a)
 
 
 @st.composite

@@ -283,3 +283,10 @@ class TestMergeConfig:
             with pytest.raises(ParameterError, match="lambda"):
                 mg.MergeConfig(method=method, lam=2.0)
         assert mg.MergeConfig(method=mg.MergeMethod.TASK_ARITHMETIC, lam=2.0).lam == 2.0
+        # the baselines cut nothing, so med-lego's cut settings are errors too
+        for method in (mg.MergeMethod.TASK_ARITHMETIC, mg.MergeMethod.PRE_MERGE_AVERAGE):
+            for cut in ({"threshold_v": 0.9}, {"max_rank": 1}):
+                with pytest.raises(ParameterError, match="med-lego"):
+                    mg.MergeConfig(method=method, **cut)
+            assert mg.MergeConfig(method=method).max_rank is None
+        assert mg.MergeConfig(threshold_v=0.9, max_rank=1).max_rank == 1
