@@ -6,6 +6,8 @@ stored as a length-r vector; B and A are only approximately orthonormal
 while training and are restored to an exact SVD by :func:`canonicalize`.
 :func:`svd_factors` is the only route from factors to SVD form: merging,
 task arithmetic, merge reports and ``inspect`` all go through it.
+:meth:`AdapterSet.tensors` is the only statement of a set's tensor order:
+files, digests, the training vector and its gradient all follow it.
 """
 
 from __future__ import annotations
@@ -155,15 +157,6 @@ def canonicalize(a: SvdLoraAdapter) -> SvdLoraAdapter:
     return from_svd(a.target, drop_zeros(svd_factors(a.B, a.E, a.A)))
 
 
-def is_canonical(a: SvdLoraAdapter, atol: float = 1e-8) -> bool:
-    r = a.rank
-    if np.any(a.E < 0) or np.any(np.diff(a.E) > 0):
-        return False
-    if np.linalg.norm(a.B.T @ a.B - np.eye(r)) > atol:
-        return False
-    return np.linalg.norm(a.A @ a.A.T - np.eye(r)) <= atol
-
-
 @dataclass(frozen=True)
 class ModelSignature:
     """Identity of the backbone an adapter set was trained on."""
@@ -178,10 +171,6 @@ class ModelSignature:
             "num_layers": self.num_layers,
             "config_digest": self.config_digest,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelSignature":
-        return cls(int(d["embed_dim"]), int(d["num_layers"]), str(d["config_digest"]))
 
 
 @dataclass
@@ -236,31 +225,59 @@ class AdapterSet:
             metadata=dict(self.metadata),
         )
 
+    def tensors(self):
+        """``(role, target, array)`` for every tensor, in the set's one order:
+        ``B``, ``E``, ``A`` of each target in ``(layer, slot)`` order, then
+        ``head_w`` and ``head_b`` (target ``None``) if the set has a head."""
+        for tid in self.sorted_targets():
+            a = self.adapters[tid]
+            yield "B", tid, a.B
+            yield "E", tid, a.E
+            yield "A", tid, a.A
+        if self.head_w is not None:
+            yield "head_w", None, self.head_w
+            yield "head_b", None, self.head_b
+
+    def views(self, flat: np.ndarray):
+        """:meth:`tensors`, with each array replaced by the next consecutive
+        view into the 1-D vector ``flat``, which must hold exactly as many
+        elements as the set."""
+        offset = 0
+        for role, target, arr in self.tensors():
+            yield role, target, flat[offset:offset + arr.size].reshape(arr.shape)
+            offset += arr.size
+        if offset != flat.size:
+            raise DimensionError(f"flat vector has {flat.size} elements, the set {offset}")
+
+    def on_flat(self, flat: np.ndarray) -> "AdapterSet":
+        """The same set with every tensor a view into ``flat`` (see
+        :meth:`views`), so in-place updates of ``flat`` update the set."""
+        blocks = iter([view for _, _, view in self.views(flat)])
+        adapters = {t: SvdLoraAdapter(t, next(blocks), next(blocks), next(blocks))
+                    for t in self.sorted_targets()}
+        return AdapterSet(self.signature, adapters, next(blocks, None),
+                          next(blocks, None), dict(self.metadata))
+
     def digest(self) -> str:
         """Content hash over signature, metadata and all tensors."""
         h = hashlib.sha256()
         h.update(repr(sorted(self.signature.as_dict().items())).encode())
         h.update(repr(sorted((str(k), str(v)) for k, v in self.metadata.items())).encode())
-        for tid in self.sorted_targets():
-            a = self.adapters[tid]
-            h.update(str(tid).encode())
-            for arr in (a.B, a.E, a.A):
-                h.update(np.ascontiguousarray(arr).tobytes())
-        if self.head_w is not None:
-            h.update(b"head")
-            h.update(self.head_w.tobytes())
-            h.update(self.head_b.tobytes())
+        for role, target, arr in self.tensors():
+            if role == "B":
+                h.update(str(target).encode())
+            elif role == "head_w":
+                h.update(b"head")
+            h.update(arr.tobytes())
         return h.hexdigest()
 
 
-def param_count(s: AdapterSet, base_param_count: int) -> tuple[int, float]:
+def param_count(s: AdapterSet, base_params: int) -> tuple[int, float]:
     """Trainable adapter parameters and their fraction of the base model.
 
     Heads are excluded; each adapter contributes d_m*r + r + r*d_n.
     """
-    if base_param_count <= 0:
-        raise ParameterError(f"base parameter count must be positive, got {base_param_count}")
-    count = sum(
-        a.B.size + a.E.size + a.A.size for a in s.adapters.values()
-    )
-    return count, count / base_param_count
+    if base_params <= 0:
+        raise ParameterError(f"base parameter count must be positive, got {base_params}")
+    count = sum(arr.size for _, target, arr in s.tensors() if target is not None)
+    return count, count / base_params

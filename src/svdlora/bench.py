@@ -18,8 +18,8 @@ from .adapter import AdapterSet
 from .data import TaskSpec, generate_task
 from .merge import MergeConfig, MergeMethod, merge_sets
 from .model import TinyModel
-from .train import (TrainConfig, TrainResult, epochs_to_accuracy, evaluate,
-                    train_adapter)
+from .train import (TrainConfig, TrainResult, curve_csv_lines, epochs_to_accuracy,
+                    evaluate, train_adapter)
 
 REACH_TARGET = 0.8  # validation accuracy level for convergence-speed curves
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -215,13 +215,8 @@ def _finetune_csv(result: FinetuneExperimentResult,
     for t in suite.held_out_tasks:
         for init in ("fresh", "merged-cross", "merged-indomain"):
             for s in suite.run_seeds:
-                res = result.curves[(t.label, init, s)]
-                for epoch, (tl, va) in enumerate(
-                    zip(res.train_losses, res.val_accs)
-                ):
-                    lines.append(
-                        f"{t.label},{init},{s},{epoch},{tl:.17g},{va:.17g}"
-                    )
+                rows = curve_csv_lines(result.curves[(t.label, init, s)])[1:]
+                lines.extend(f"{t.label},{init},{s},{row}" for row in rows)
     return lines
 
 

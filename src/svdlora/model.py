@@ -11,7 +11,9 @@ framework. Both work on token rows: a batch (n, seq_len, d) is reshaped once
 to (n*seq_len, d), so every projection, the adapter factors and both MLP
 matmuls are single 2-D GEMMs, and only the attention scores and ``p @ v``
 stay batched (n, seq_len, .) matmuls. The backward pass computes no gradient
-with respect to the first layer's input, which is data.
+with respect to the first layer's input, which is data, and writes every
+gradient block in place into one flat vector laid out like the adapter set's
+tensors, which is the vector the optimizer steps.
 """
 
 from __future__ import annotations
@@ -79,9 +81,6 @@ class TinyModel:
             for layer in range(self.num_layers)
             for slot in ("Q", "V")
         ]
-
-    def base_param_count(self) -> int:
-        return backbone_param_count(self.embed_dim, self.num_layers)
 
 
 def _check_signature(model: TinyModel, adapters: AdapterSet) -> None:
@@ -197,13 +196,21 @@ def orthogonality_penalty(adapters: AdapterSet) -> float:
 
 
 class GradSet:
-    """Gradients for every trainable block, keyed like the adapter set, plus
-    the orthogonality penalty of the factors they were taken at."""
+    """Gradients for every trainable block of ``params``, plus the
+    orthogonality penalty of the factors they were taken at. ``adapters[tid]
+    ["B"|"E"|"A"]``, ``head_w`` and ``head_b`` are views into ``flat``, one
+    vector laid out like :meth:`AdapterSet.tensors`."""
 
-    def __init__(self):
+    def __init__(self, params: AdapterSet):
+        self.flat = np.empty(sum(arr.size for _, _, arr in params.tensors()))
         self.adapters: dict[TargetId, dict[str, np.ndarray]] = {}
         self.head_w: np.ndarray | None = None
         self.head_b: np.ndarray | None = None
+        for role, target, view in params.views(self.flat):
+            if target is None:
+                setattr(self, role, view)
+            else:
+                self.adapters.setdefault(target, {})[role] = view
         self.ortho_penalty: float = 0.0
 
 
@@ -217,10 +224,10 @@ def backward(model: TinyModel, adapters: AdapterSet, cache: dict,
     4*(AA' - I)A scaled by ``reg_weight``; its value is returned alongside,
     computed from the same Gram matrices.
     """
-    grads = GradSet()
+    grads = GradSet(adapters)  # uninitialized: the passes below write every block
     head_w, _ = cache["head"]
-    grads.head_w = cache["pooled"].T @ dlogits
-    grads.head_b = dlogits.sum(axis=0)
+    np.matmul(cache["pooled"].T, dlogits, out=grads.head_w)
+    np.sum(dlogits, axis=0, out=grads.head_b)
     dz = dlogits @ head_w.T  # (n, d)
 
     n, d = dz.shape
@@ -254,22 +261,22 @@ def backward(model: TinyModel, adapters: AdapterSet, cache: dict,
             dk *= scale
             dx_in = dx1
             dx_in += dk @ lw.Wk
-        for slot, dproj, ya, yb, ad, w in (
-            ("Q", dq, c["ya_q"], c["yb_q"], c["aq"], lw.Wq),
-            ("V", dv, c["ya_v"], c["yb_v"], c["av"], lw.Wv),
+        for dproj, ya, yb, ad, w in (
+            (dq, c["ya_q"], c["yb_q"], c["aq"], lw.Wq),
+            (dv, c["ya_v"], c["yb_v"], c["av"], lw.Wv),
         ):
             if dx_in is not None:
                 dx_in += dproj @ w
             if ad is None:
                 continue
+            block = grads.adapters[ad.target]
             dya = dproj @ ad.B
-            db = dproj.T @ yb
-            de = np.sum(dya * ya, axis=0)
+            np.matmul(dproj.T, yb, out=block["B"])
+            np.sum(dya * ya, axis=0, out=block["E"])
             dya *= ad.E
-            da = dya.T @ x
+            np.matmul(dya.T, x, out=block["A"])
             if dx_in is not None:
                 dx_in += dya @ ad.A
-            grads.adapters[TargetId(layer_index, slot)] = {"B": db, "E": de, "A": da}
         dx = dx_in
 
     residuals = _gram_residuals(adapters)
@@ -277,7 +284,7 @@ def backward(model: TinyModel, adapters: AdapterSet, cache: dict,
     if reg_weight != 0.0:
         for tid, a in adapters.adapters.items():
             gram_b, gram_a = residuals[tid]
-            block = grads.adapters[tid]  # every target got one in the layer loop
+            block = grads.adapters[tid]
             block["B"] += 4.0 * reg_weight * (a.B @ gram_b)
             block["A"] += 4.0 * reg_weight * (gram_a @ a.A)
     return grads

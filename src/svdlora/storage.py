@@ -53,28 +53,18 @@ def canonical_json(obj) -> str:
 
 # --- adapter files --------------------------------------------------------
 
-def _tensor_entries(s: AdapterSet):
-    """(name, role, target, array) in canonical write order."""
-    for tid in s.sorted_targets():
-        a = s.adapters[tid]
-        yield f"{tid}.B", "B", str(tid), a.B
-        yield f"{tid}.E", "E", str(tid), a.E
-        yield f"{tid}.A", "A", str(tid), a.A
-    if s.head_w is not None:
-        yield "head.weight", "head_w", None, s.head_w
-        yield "head.bias", "head_b", None, s.head_b
+_HEAD_NAMES = {"head_w": "head.weight", "head_b": "head.bias"}
 
 
 def save_adapter_set(s: AdapterSet, path) -> None:
-    entries = list(_tensor_entries(s))
     directory = []
     offset = 0
-    for name, role, target, arr in entries:
+    for role, target, arr in s.tensors():
         length = arr.size * 8
         directory.append({
-            "name": name,
+            "name": _HEAD_NAMES[role] if target is None else f"{target}.{role}",
             "role": role,
-            "target": target,
+            "target": None if target is None else str(target),
             "shape": list(arr.shape),
             "offset": offset,
             "length": length,
@@ -92,7 +82,7 @@ def save_adapter_set(s: AdapterSet, path) -> None:
         with open(path, "wb") as fh:
             fh.write(_PREFIX.pack(MAGIC, VERSION, len(header_bytes)))
             fh.write(header_bytes)
-            for _, _, _, arr in entries:
+            for _, _, arr in s.tensors():
                 fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     except OSError as exc:
         raise OSError(f"failed to write adapter file {path}: {exc}") from exc
@@ -136,8 +126,15 @@ def load_adapter_set(path) -> AdapterSet:
     try:
         header = json.loads(blob[_PREFIX.size:_PREFIX.size + header_len].decode("utf-8"))
         directory = list(header["tensors"])
-        signature = ModelSignature.from_dict(header["model_signature"])
-        metadata = dict(header["metadata"])
+        sig, metadata = header["model_signature"], header["metadata"]
+        # type() rather than isinstance(): a JSON true must not pass as 1
+        if not (type(sig["embed_dim"]) is int and type(sig["num_layers"]) is int
+                and isinstance(sig["config_digest"], str)):
+            raise TypeError(f"model signature fields have the wrong types: {sig}")
+        if not (isinstance(metadata, dict)
+                and all(isinstance(v, str) for v in metadata.values())):
+            raise TypeError("metadata must map strings to strings")
+        signature = ModelSignature(sig["embed_dim"], sig["num_layers"], sig["config_digest"])
     except (ValueError, KeyError, TypeError) as exc:
         raise CorruptionError(f"{path}: malformed header: {exc}") from exc
 
@@ -147,11 +144,15 @@ def load_adapter_set(path) -> AdapterSet:
     cursor = -1
     for entry in directory:
         try:
-            offset, length = int(entry["offset"]), int(entry["length"])
+            offset, length = entry["offset"], entry["length"]
             name = str(entry["name"])
-            shape = tuple(int(v) for v in entry["shape"])
-        except (KeyError, TypeError, ValueError) as exc:
+            shape = tuple(entry["shape"])
+            if not all(type(v) is int for v in (offset, length, *shape)):
+                raise TypeError("offset, length and shape must be JSON integers")
+        except (KeyError, TypeError) as exc:
             raise CorruptionError(f"{path}: malformed directory entry: {exc}") from exc
+        if name in tensors:
+            raise CorruptionError(f"{path}: duplicate tensor name {name}")
         if offset <= cursor:
             raise CorruptionError(f"{path}: directory offsets overlap at {name}")
         if length < 0 or offset + length > len(payload):
@@ -161,7 +162,7 @@ def load_adapter_set(path) -> AdapterSet:
         roles[name] = entry
 
     per_target: dict[TargetId, dict[str, np.ndarray]] = {}
-    head_w = head_b = None
+    head: dict[str, np.ndarray] = {}
     for name, entry in roles.items():
         role = entry.get("role")
         if role in ("B", "E", "A"):
@@ -169,13 +170,14 @@ def load_adapter_set(path) -> AdapterSet:
                 tid = TargetId.parse(str(entry["target"]))
             except (KeyError, ValueError, AttributeError, ToolkitError) as exc:
                 raise CorruptionError(f"{path}: bad target in entry {name}") from exc
-            per_target.setdefault(tid, {})[role] = tensors[name]
-        elif role == "head_w":
-            head_w = tensors[name]
-        elif role == "head_b":
-            head_b = tensors[name]
+            parts = per_target.setdefault(tid, {})
+        elif role in ("head_w", "head_b"):
+            parts = head
         else:
             raise CorruptionError(f"{path}: unknown tensor role {role!r}")
+        if role in parts:
+            raise CorruptionError(f"{path}: duplicate {role} tensor {name}")
+        parts[role] = tensors[name]
 
     for tid, parts in per_target.items():
         if set(parts) != {"B", "E", "A"}:
@@ -186,7 +188,8 @@ def load_adapter_set(path) -> AdapterSet:
         adapters = {tid: SvdLoraAdapter(target=tid, **parts)
                     for tid, parts in per_target.items()}
         return AdapterSet(signature=signature, adapters=adapters,
-                          head_w=head_w, head_b=head_b, metadata=metadata)
+                          head_w=head.get("head_w"), head_b=head.get("head_b"),
+                          metadata=metadata)
     except ToolkitError as exc:
         raise CorruptionError(f"{path}: inconsistent tensors: {exc}") from exc
 

@@ -9,7 +9,7 @@ accuracy, and that checkpoint is what the run returns.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -47,11 +47,7 @@ class TrainConfig:
             raise ParameterError("regularizer weight must be non-negative")
 
     def digest(self) -> str:
-        text = ",".join(
-            f"{k}={getattr(self, k)}"
-            for k in ("learning_rate", "epochs", "batch_size", "reg_weight",
-                      "rank", "init_std", "beta1", "beta2", "adam_eps", "seed")
-        )
+        text = ",".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -141,45 +137,6 @@ class _Adam:
         theta -= update
 
 
-def _flatten(aset: AdapterSet) -> list[np.ndarray]:
-    out = []
-    for tid in aset.sorted_targets():
-        a = aset.adapters[tid]
-        out.extend([a.B, a.E, a.A])
-    out.extend([aset.head_w, aset.head_b])
-    return out
-
-
-def _flatten_grads(aset: AdapterSet, grads: GradSet) -> list[np.ndarray]:
-    out = []
-    for tid in aset.sorted_targets():
-        g = grads.adapters[tid]
-        out.extend([g["B"], g["E"], g["A"]])
-    out.extend([grads.head_w, grads.head_b])
-    return out
-
-
-def _rebuild(aset: AdapterSet, flat: list[np.ndarray]) -> AdapterSet:
-    adapters = {}
-    i = 0
-    for tid in aset.sorted_targets():
-        adapters[tid] = SvdLoraAdapter(target=tid, B=flat[i], E=flat[i + 1], A=flat[i + 2])
-        i += 3
-    return AdapterSet(signature=aset.signature, adapters=adapters,
-                      head_w=flat[i], head_b=flat[i + 1],
-                      metadata=dict(aset.metadata))
-
-
-def _views(theta: np.ndarray, like: list[np.ndarray]) -> list[np.ndarray]:
-    """Consecutive views into the flat vector ``theta``, shaped like ``like``."""
-    out = []
-    offset = 0
-    for arr in like:
-        out.append(theta[offset:offset + arr.size].reshape(arr.shape))
-        offset += arr.size
-    return out
-
-
 def evaluate(model: TinyModel, adapters: AdapterSet,
              split: tuple[np.ndarray, np.ndarray],
              head: tuple[np.ndarray, np.ndarray] | None = None) -> float:
@@ -212,21 +169,15 @@ def train_adapter(model: TinyModel, spec: TaskSpec, cfg: TrainConfig,
         dataset = generate_task(spec)
     current = init_adapter_set(model, spec.num_classes, cfg, task_name=spec.label)
     if init is not None:
-        current = AdapterSet(
-            signature=current.signature,
-            adapters={t: a for t, a in init.adapters.items()},
-            head_w=current.head_w,
-            head_b=current.head_b,
-            metadata=dict(current.metadata) | {"init": "merged"},
-        )
+        current = replace(current, adapters=dict(init.adapters),
+                          metadata=current.metadata | {"init": "merged"})
 
-    # Every trainable tensor is a view into theta, a copy, so init is never
-    # written. The constructors keep contiguous float64 arrays as given, so
+    # theta is a copy of every trainable tensor in AdapterSet.tensors()
+    # order, so init is never written. The set is rebuilt on views into it,
+    # and each step's gradients arrive in the same layout (GradSet.flat), so
     # Adam's in-place updates of theta are the live set's updates.
-    initial = _flatten(current)
-    theta = np.concatenate([arr.ravel() for arr in initial])
-    current = _rebuild(current, _views(theta, initial))
-    grad = np.empty_like(theta)
+    theta = np.concatenate([arr.ravel() for _, _, arr in current.tensors()])
+    current = current.on_flat(theta)
     opt = _Adam(theta.size, cfg)
 
     x_train, y_train = dataset.train
@@ -251,9 +202,7 @@ def train_adapter(model: TinyModel, spec: TaskSpec, cfg: TrainConfig,
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, step {batches}"
                 )
-            np.concatenate([g.ravel() for g in _flatten_grads(current, grads)],
-                           out=grad)
-            opt.step(theta, grad)
+            opt.step(theta, grads.flat)
             epoch_loss += value
             batches += 1
         train_losses.append(epoch_loss / batches)
@@ -264,7 +213,7 @@ def train_adapter(model: TinyModel, spec: TaskSpec, cfg: TrainConfig,
             best = (val_acc, epoch)
             best_theta = theta.copy()
 
-    best_set = _rebuild(current, _views(best_theta, initial))
+    best_set = current.on_flat(best_theta)
     test_acc = evaluate(model, best_set, dataset.test)
     return TrainResult(
         adapter_set=best_set.canonicalized(),

@@ -77,6 +77,21 @@ class TestRoundTrip:
         assert len(blob) == 16 + header_len + payload
         assert header_len % 8 == 0  # payload stays 8-byte aligned
 
+    @pytest.mark.parametrize("with_head", [True, False])
+    def test_directory_follows_tensor_order(self, tmp_path, with_head):
+        s = build_set(4, with_head=with_head)
+        path = tmp_path / "o.mlgo"
+        storage.save_adapter_set(s, path)
+        blob = path.read_bytes()
+        _, _, header_len = struct.unpack_from("<4sIQ", blob)
+        directory = json.loads(blob[16:16 + header_len])["tensors"]
+        assert len(directory) == 4 * 3 + 2 * with_head
+        assert [(e["role"], e["target"], e["shape"]) for e in directory] == [
+            (role, None if tid is None else str(tid), list(arr.shape))
+            for role, tid, arr in s.tensors()]
+        offsets = [e["offset"] for e in directory]
+        assert all(a < b for a, b in zip(offsets, offsets[1:]))
+
     def test_save_is_deterministic(self, tmp_path):
         s = build_set(5)
         p1, p2 = tmp_path / "1.mlgo", tmp_path / "2.mlgo"
@@ -113,11 +128,15 @@ class TestCorruption:
             storage.load_adapter_set(saved)
 
     def _rewrite_header(self, saved, mutate):
+        """Rewrite the header with ``mutate``; bytes it returns are appended
+        to the payload."""
         blob = saved.read_bytes()
         magic, version, header_len = struct.unpack_from("<4sIQ", blob)
         header = json.loads(blob[16:16 + header_len].decode())
         payload = blob[16 + header_len:]
-        mutate(header)
+        extra = mutate(header)
+        if isinstance(extra, bytes):
+            payload += extra
         raw = json.dumps(header).encode()
         raw += b" " * ((-len(raw)) % 8)
         saved.write_bytes(struct.pack("<4sIQ", magic, version, len(raw)) + raw + payload)
@@ -147,7 +166,12 @@ class TestCorruption:
         lambda entry: entry.pop("shape"),
         lambda entry: entry.__setitem__("shape", "x"),
         lambda entry: entry.__setitem__("shape", 3),
-    ], ids=["missing", "non-integer", "not-a-list"])
+        lambda entry: entry.__setitem__("shape", [float(v) for v in entry["shape"]]),
+        lambda entry: entry.__setitem__("offset", 0.5),
+        lambda entry: entry.__setitem__("offset", False),
+        lambda entry: entry.__setitem__("length", str(entry["length"])),
+    ], ids=["missing", "non-integer", "not-a-list", "float-dims", "float-offset",
+            "bool-offset", "string-length"])
     def test_malformed_shape(self, saved, mutate):
         self._rewrite_header(saved, lambda header: mutate(header["tensors"][0]))
         with pytest.raises(CorruptionError, match="malformed directory entry"):
@@ -171,6 +195,22 @@ class TestCorruption:
         entry = next(e for e in header["tensors"] if e["role"] == "head_b")
         entry["shape"] = [1] + entry["shape"]  # same length, wrong rank
 
+    @staticmethod
+    def _append_second(role, name):
+        """Append another ``role`` tensor for the owner of the first one, with
+        its own payload of threes."""
+        def mutate(header):
+            entries = header["tensors"]
+            first = next(e for e in entries if e["role"] == role)
+            end = entries[-1]["offset"] + entries[-1]["length"]
+            entries.append(dict(first, name=name, offset=end))
+            return np.full(first["length"] // 8, 3.0).astype("<f8").tobytes()
+        return mutate
+
+    @staticmethod
+    def _set_signature(field, value):
+        return lambda header: header["model_signature"].__setitem__(field, value)
+
     @pytest.mark.parametrize("mutate, match", [
         (_negate_first_shape, "negative dimension"),
         (_retarget_layer0_q("layer-1.Q"), "bad target"),
@@ -180,9 +220,20 @@ class TestCorruption:
         (lambda header: header.__setitem__("tensors", None), "malformed header"),
         (lambda header: header.__setitem__("tensors", 5), "malformed header"),
         (lambda header: header.__setitem__("tensors", True), "malformed header"),
+        (_append_second("B", "layer0.Q.B"), "duplicate"),
+        (_append_second("B", "layer0.Q.B2"), "duplicate"),
+        (_append_second("head_b", "head.bias2"), "duplicate"),
+        (lambda header: header["metadata"].__setitem__("k", 5), "malformed header"),
+        (lambda header: header.__setitem__("metadata", [["k", "v"]]), "malformed header"),
+        (_set_signature("embed_dim", "8"), "malformed header"),
+        (_set_signature("embed_dim", True), "malformed header"),
+        (_set_signature("num_layers", 2.0), "malformed header"),
+        (_set_signature("config_digest", 5), "malformed header"),
     ], ids=["negative-shape", "negative-layer", "layer-out-of-range",
             "head-bias-shape", "missing-target", "tensors-null", "tensors-number",
-            "tensors-bool"])
+            "tensors-bool", "duplicate-name", "duplicate-role", "duplicate-head-role",
+            "metadata-int", "metadata-pairs", "embed-dim-string", "embed-dim-bool",
+            "num-layers-float", "digest-int"])
     def test_inconsistent_header(self, saved, mutate, match):
         self._rewrite_header(saved, mutate)
         with pytest.raises(CorruptionError, match=match):

@@ -34,13 +34,6 @@ def randomized_set(model, num_classes=3, seed=42, scale=0.3):
                       metadata={})
 
 
-def tensors(aset):
-    """Every array of a set with a head, in file order."""
-    out = [getattr(aset.adapters[t], name)
-           for t in aset.sorted_targets() for name in ("B", "E", "A")]
-    return out + [aset.head_w, aset.head_b]
-
-
 class TestGenerateTask:
     def test_determinism(self):
         spec = TaskSpec(task_seed=4, num_classes=3)
@@ -185,13 +178,9 @@ def check_gradients(model, aset, x, y, reg_weight, rtol=1e-4):
         return loss(logits, y, aset, reg_weight)
 
     failures = []
-    blocks = []
-    for tid in aset.sorted_targets():
-        a = aset.adapters[tid]
-        for name in ("B", "E", "A"):
-            blocks.append((f"{tid}.{name}", getattr(a, name), grads.adapters[tid][name]))
-    blocks.append(("head_w", aset.head_w, grads.head_w))
-    blocks.append(("head_b", aset.head_b, grads.head_b))
+    blocks = [(role, arr, getattr(grads, role)) if tid is None else
+              (f"{tid}.{role}", arr, grads.adapters[tid][role])
+              for role, tid, arr in aset.tensors()]
     for name, arr, analytic in blocks:
         fd = fd_gradient(objective, arr)  # perturbs arr in place, then restores
         rel = np.linalg.norm(analytic - fd) / max(
@@ -219,6 +208,17 @@ class TestGradients:
         _, grads = gradients(model, aset, ds.train[0][:16], ds.train[1][:16], 0.0)
         e_norm = sum(np.linalg.norm(g["E"]) for g in grads.adapters.values())
         assert e_norm > 0.0
+
+    def test_blocks_are_views_into_flat(self, model):
+        # the vector Adam steps is the gradient blocks, in tensors() order
+        aset = randomized_set(model)
+        ds = generate_task(TaskSpec(task_seed=6, num_classes=3))
+        _, grads = gradients(model, aset, ds.train[0][:8], ds.train[1][:8], 0.1)
+        blocks = [getattr(grads, role) if tid is None else grads.adapters[tid][role]
+                  for role, tid, _ in aset.tensors()]
+        assert [b.shape for b in blocks] == [arr.shape for _, _, arr in aset.tensors()]
+        assert np.array_equal(grads.flat, np.concatenate([b.ravel() for b in blocks]))
+        assert all(np.shares_memory(grads.flat, b) for b in blocks)
 
     def test_reg_gradient_zero_at_orthonormal_point(self, model):
         aset = randomized_set(model).canonicalized()
@@ -315,11 +315,11 @@ class TestFinetune:
 
     def test_init_unchanged_and_runs_repeat(self, model):
         merged = randomized_set(model, seed=8)
-        before = [a.copy() for a in tensors(merged)]
+        before = [a.copy() for _, _, a in merged.tensors()]
         spec = TaskSpec(task_seed=5, num_classes=2, separation=10.0)
         cfg = TrainConfig(seed=1, epochs=3)
         runs = [train_adapter(model, spec, cfg, init=merged) for _ in range(2)]
-        assert all(np.array_equal(x, y) for x, y in zip(before, tensors(merged)))
+        assert all(np.array_equal(x, y) for x, (_, _, y) in zip(before, merged.tensors()))
         assert runs[0].train_losses == runs[1].train_losses
         assert runs[0].val_accs == runs[1].val_accs
         assert runs[0].adapter_set.digest() == runs[1].adapter_set.digest()
@@ -331,8 +331,8 @@ class TestFinetune:
         res = train_adapter(model, spec, TrainConfig(seed=1, epochs=6))
         assert res.best_epoch < 5
         rerun = train_adapter(model, spec, TrainConfig(seed=1, epochs=res.best_epoch + 1))
-        assert all(np.array_equal(x, y) for x, y in
-                   zip(tensors(res.adapter_set), tensors(rerun.adapter_set)))
+        assert all(np.array_equal(x, y) for (_, _, x), (_, _, y) in
+                   zip(res.adapter_set.tensors(), rerun.adapter_set.tensors()))
 
     def test_test_split_evaluated_once(self, model, monkeypatch):
         # validate-then-test: the test split is scored once per training, on
