@@ -188,12 +188,18 @@ class AdapterSet:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        d = self.signature.embed_dim
         for tid, ad in self.adapters.items():
             if tid != ad.target:
                 raise ModelError(f"adapter keyed {tid} carries target {ad.target}")
             if tid.layer >= self.signature.num_layers:
                 raise ModelError(
                     f"target {tid} out of range for {self.signature.num_layers}-layer model"
+                )
+            if ad.shape != (d, d):
+                raise DimensionError(
+                    f"adapter {tid} has shape {ad.shape}, the model's Q and V "
+                    f"projections are {d}x{d}"
                 )
         if (self.head_w is None) != (self.head_b is None):
             raise ModelError("head weight and bias must be given together")
@@ -268,7 +274,7 @@ class AdapterSet:
                 h.update(str(target).encode())
             elif role == "head_w":
                 h.update(b"head")
-            h.update(arr.tobytes())
+            h.update(arr)
         return h.hexdigest()
 
 

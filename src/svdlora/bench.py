@@ -9,7 +9,6 @@ tasks from the same family, five run seeds per cell.
 
 from __future__ import annotations
 
-import os
 import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,7 +21,6 @@ from .train import (TrainConfig, TrainResult, curve_csv_lines, epochs_to_accurac
                     evaluate, train_adapter)
 
 REACH_TARGET = 0.8  # validation accuracy level for convergence-speed curves
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # Columns of the merge CSVs and summary tables: the specialists, then med-lego
 # and each baseline in MergeMethod order.
 MERGE_COLUMNS = ("specialist",) + tuple(m.value for m in MergeMethod)
@@ -96,21 +94,14 @@ def _run_jobs(jobs: list[tuple], jobs_n: int) -> dict:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    # The workers share the cores, so unless the environment fixes the BLAS
-    # thread count, each gets an equal share; with more, their threaded GEMMs
-    # oversubscribe the machine and stall. BLAS reads these variables when
-    # numpy loads, so the workers are spawned fresh. The thread count does not
-    # change GEMM results; criterion 11 compares the outputs byte for byte.
-    threads = str(max(1, (os.cpu_count() or 1) // jobs_n))
-    added = [name for name in _BLAS_THREAD_VARS if name not in os.environ]
-    os.environ.update({name: threads for name in added})
-    try:
-        with ProcessPoolExecutor(max_workers=jobs_n,
-                                 mp_context=multiprocessing.get_context("spawn")) as pool:
-            return {key: res for key, res in pool.map(_train_job, jobs)}
-    finally:
-        for name in added:
-            del os.environ[name]
+    # The workers are spawned fresh, so their numpy loads with the BLAS
+    # thread count that importing svdlora sets (one, unless the environment
+    # gives another); threaded GEMMs in workers that share the cores stall.
+    # The thread count does not change GEMM results; criterion 11 compares
+    # the outputs byte for byte.
+    with ProcessPoolExecutor(max_workers=jobs_n,
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        return {key: res for key, res in pool.map(_train_job, jobs)}
 
 
 @dataclass

@@ -7,6 +7,7 @@ deterministic under fixed flags; all seeds have defaults.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import numpy as np
 from . import bench as bench_mod
 from .adapter import SvdLoraAdapter, init_adapter, param_count, svd_factors
 from .data import TaskSpec, generate_task
-from .errors import ToolkitError
+from .errors import ParameterError, ToolkitError
 from .merge import (DEFAULT_THRESHOLD, MergeConfig, MergeMethod, merge_sets,
                     premerge_postmerge_gap)
 from .model import TinyModel, backbone_param_count
@@ -44,12 +45,18 @@ def _spec_from_metadata(task_seed: int, num_classes: int, meta: dict) -> TaskSpe
     it refers to the requested task seed."""
     kwargs = dict(task_seed=task_seed, num_classes=num_classes)
     if str(meta.get("task_seed")) == str(task_seed):
-        for key, conv in (("components", int), ("separation", float),
-                          ("noise", float), ("seq_len", int)):
-            if key in meta:
-                kwargs[key] = conv(meta[key])
+        fields = [("components", int), ("separation", float), ("noise", float),
+                  ("seq_len", int)]
         if meta.get("family_seed") not in (None, "", "None"):
-            kwargs["family_seed"] = int(meta["family_seed"])
+            fields.append(("family_seed", int))
+        for key, conv in fields:
+            if key in meta:
+                try:
+                    kwargs[key] = conv(meta[key])
+                except ValueError as exc:
+                    raise ParameterError(
+                        f"metadata {key}={meta[key]!r} does not describe a task: {exc}"
+                    ) from exc
     return TaskSpec(**kwargs)
 
 
@@ -168,7 +175,11 @@ def cmd_inspect(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: :func:`main` parses every call with
+    it. Each subcommand's ``func`` is a ``cmd_*`` function, which looks up
+    what it calls in this module when it runs."""
     parser = argparse.ArgumentParser(
         prog="svdlora",
         description="Train, merge and evaluate SVD-structured low-rank adapters.",
@@ -230,15 +241,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ToolkitError as exc:
+    except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:  # e.g. a task whose data cannot be allocated
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

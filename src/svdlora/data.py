@@ -8,6 +8,7 @@ disjoint RNG streams so train/val/test never overlap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,11 @@ class TaskSpec:
             raise ParameterError("seq_len, embed_dim and components must be positive")
         if min(self.n_train, self.n_val, self.n_test) < self.num_classes:
             raise ParameterError("every split must hold at least one sample per class")
-        if self.separation < 0 or self.noise < 0:
-            raise ParameterError("separation and noise must be non-negative")
+        if not (0 <= self.separation < math.inf and 0 <= self.noise < math.inf):
+            raise ParameterError(
+                f"separation and noise must be finite and non-negative, got "
+                f"{self.separation} and {self.noise}"
+            )
 
     @property
     def label(self) -> str:

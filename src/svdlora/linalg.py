@@ -35,7 +35,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         raise DimensionError(f"{name} must be 2-D, got shape {m.shape}")
     if m.size == 0:
         raise DimensionError(f"{name} must be non-empty, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise NumericError(f"{name} contains non-finite entries")
     return m
 

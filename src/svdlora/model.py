@@ -215,7 +215,8 @@ class GradSet:
 
 
 def backward(model: TinyModel, adapters: AdapterSet, cache: dict,
-             dlogits: np.ndarray, reg_weight: float) -> GradSet:
+             dlogits: np.ndarray, reg_weight: float,
+             grads: GradSet | None = None) -> GradSet:
     """Exact reverse-mode gradients through the cached forward pass.
 
     Backbone weights are frozen: the pass propagates through them but never
@@ -223,8 +224,12 @@ def backward(model: TinyModel, adapters: AdapterSet, cache: dict,
     which is data. The orthogonality penalty contributes 4*B(B'B - I) and
     4*(AA' - I)A scaled by ``reg_weight``; its value is returned alongside,
     computed from the same Gram matrices.
+
+    ``grads``, a :class:`GradSet` of ``adapters``' layout, is overwritten
+    and returned; without it a new one is allocated.
     """
-    grads = GradSet(adapters)  # uninitialized: the passes below write every block
+    if grads is None:
+        grads = GradSet(adapters)  # uninitialized: the passes below write every block
     head_w, _ = cache["head"]
     np.matmul(cache["pooled"].T, dlogits, out=grads.head_w)
     np.sum(dlogits, axis=0, out=grads.head_b)

@@ -58,8 +58,10 @@ _HEAD_NAMES = {"head_w": "head.weight", "head_b": "head.bias"}
 
 def save_adapter_set(s: AdapterSet, path) -> None:
     directory = []
+    arrays = []
     offset = 0
     for role, target, arr in s.tensors():
+        arrays.append(np.ascontiguousarray(arr, dtype="<f8"))
         length = arr.size * 8
         directory.append({
             "name": _HEAD_NAMES[role] if target is None else f"{target}.{role}",
@@ -82,26 +84,25 @@ def save_adapter_set(s: AdapterSet, path) -> None:
         with open(path, "wb") as fh:
             fh.write(_PREFIX.pack(MAGIC, VERSION, len(header_bytes)))
             fh.write(header_bytes)
-            for _, _, arr in s.tensors():
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            fh.write(b"".join(arrays))
     except OSError as exc:
         raise OSError(f"failed to write adapter file {path}: {exc}") from exc
 
 
-def _read_tensor(payload: bytes, name: str, shape: tuple[int, ...],
+def _read_tensor(payload: bytearray, name: str, shape: tuple[int, ...],
                  offset: int, length: int) -> np.ndarray:
+    """The tensor as a view of its own bytes of ``payload``; the caller has
+    checked that those bytes lie inside the payload."""
     if any(dim < 0 for dim in shape):
         raise CorruptionError(f"tensor {name}: negative dimension in shape {shape}")
-    expected = 8 * int(np.prod(shape)) if shape else 8
+    expected = 8 * math.prod(shape)
     if length != expected:
         raise CorruptionError(
             f"tensor {name}: declared length {length} != shape {shape} bytes {expected}"
         )
-    raw = payload[offset:offset + length]
-    if len(raw) != length:
-        raise CorruptionError(f"tensor {name}: payload truncated")
-    arr = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
-    if not np.all(np.isfinite(arr)):
+    arr = np.frombuffer(payload, dtype="<f8", count=length // 8,
+                        offset=offset).reshape(shape)
+    if not np.isfinite(arr).all():
         raise NumericError(f"tensor {name} contains non-finite values")
     return arr
 
@@ -109,8 +110,9 @@ def _read_tensor(payload: bytes, name: str, shape: tuple[int, ...],
 def load_adapter_set(path) -> AdapterSet:
     """Load and fully validate an adapter file.
 
-    Bad magic or version raises FormatError; inconsistent directories raise
-    CorruptionError; non-finite payloads raise NumericError. Every read is
+    Bad magic or version raises FormatError; inconsistent directories, and
+    adapters that do not fit the signature, raise CorruptionError; a
+    non-finite value in any tensor raises NumericError. Every read is
     bounds-checked against the declared directory.
     """
     blob = Path(path).read_bytes()
@@ -138,7 +140,9 @@ def load_adapter_set(path) -> AdapterSet:
     except (ValueError, KeyError, TypeError) as exc:
         raise CorruptionError(f"{path}: malformed header: {exc}") from exc
 
-    payload = blob[_PREFIX.size + header_len:]
+    # The one copy of the payload: every tensor is a view of its own byte
+    # range, so loaded arrays are writable and share no memory.
+    payload = bytearray(memoryview(blob)[_PREFIX.size + header_len:])
     tensors: dict[str, np.ndarray] = {}
     roles: dict[str, dict] = {}
     cursor = -1

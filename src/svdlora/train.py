@@ -70,11 +70,13 @@ def loss(logits: np.ndarray, labels: np.ndarray, adapters: AdapterSet,
 
 def gradients(model: TinyModel, adapters: AdapterSet,
               x: np.ndarray, labels: np.ndarray,
-              reg_weight: float) -> tuple[float, GradSet]:
-    """Loss value and exact gradients for every trainable block."""
+              reg_weight: float,
+              grads: GradSet | None = None) -> tuple[float, GradSet]:
+    """Loss value and exact gradients for every trainable block, written
+    into ``grads`` when given (see :func:`model.backward`)."""
     logits, cache = forward(model, adapters, x, want_cache=True)
     ce, dlogits = cross_entropy(logits, labels)
-    grads = backward(model, adapters, cache, dlogits, reg_weight)
+    grads = backward(model, adapters, cache, dlogits, reg_weight, grads)
     return ce + reg_weight * grads.ortho_penalty, grads
 
 
@@ -174,10 +176,11 @@ def train_adapter(model: TinyModel, spec: TaskSpec, cfg: TrainConfig,
 
     # theta is a copy of every trainable tensor in AdapterSet.tensors()
     # order, so init is never written. The set is rebuilt on views into it,
-    # and each step's gradients arrive in the same layout (GradSet.flat), so
-    # Adam's in-place updates of theta are the live set's updates.
+    # and every step's gradients are written into one GradSet of the same
+    # layout, so Adam's in-place updates of theta are the live set's updates.
     theta = np.concatenate([arr.ravel() for _, _, arr in current.tensors()])
     current = current.on_flat(theta)
+    grads = GradSet(current)
     opt = _Adam(theta.size, cfg)
 
     x_train, y_train = dataset.train
@@ -196,8 +199,8 @@ def train_adapter(model: TinyModel, spec: TaskSpec, cfg: TrainConfig,
         batches = 0
         for start in range(0, n, cfg.batch_size):
             idx = perm[start:start + cfg.batch_size]
-            value, grads = gradients(model, current, x_train[idx], y_train[idx],
-                                     cfg.reg_weight)
+            value, _ = gradients(model, current, x_train[idx], y_train[idx],
+                                 cfg.reg_weight, grads)
             if not np.isfinite(value):
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, step {batches}"

@@ -187,6 +187,12 @@ class TestAdapterSet:
         with pytest.raises(ModelError):
             make_set([a], layers=2)
 
+    @pytest.mark.parametrize("d_m, d_n", [(8, 8), (16, 8), (16, 12)])
+    def test_adapter_shape_checked_against_signature(self, d_m, d_n):
+        a = ad.init_adapter(d_m, d_n, 2, seed=0)
+        with pytest.raises(DimensionError, match="layer0.Q has shape"):
+            make_set([a], embed_dim=16)
+
     def test_head_shape_checked(self):
         sig = ad.ModelSignature(8, 2, "x")
         with pytest.raises(DimensionError):

@@ -4,11 +4,12 @@ import struct
 import numpy as np
 import pytest
 
-from svdlora.cli import main
+from svdlora.adapter import (AdapterSet, ModelSignature, TargetId, delta,
+                             init_adapter)
+from svdlora.cli import build_parser, main
 from svdlora.data import TaskSpec, generate_task
 from svdlora.model import TinyModel
-from svdlora.storage import load_adapter_set, load_merge_report
-from svdlora.adapter import delta
+from svdlora.storage import load_adapter_set, load_merge_report, save_adapter_set
 from svdlora.train import evaluate
 
 EASY = ["--task-seed", "5", "--classes", "2", "--separation", "8.0",
@@ -17,12 +18,45 @@ OTHER = ["--task-seed", "6", "--classes", "3", "--separation", "8.0",
          "--epochs", "25"]
 
 
+def rewrite_header(src, dst, mutate):
+    """Copy ``src`` to ``dst`` with its JSON header changed by ``mutate``."""
+    blob = src.read_bytes()
+    magic, version, header_len = struct.unpack_from("<4sIQ", blob)
+    header = json.loads(blob[16:16 + header_len])
+    mutate(header)
+    raw = json.dumps(header).encode()
+    raw += b" " * ((-len(raw)) % 8)
+    dst.write_bytes(struct.pack("<4sIQ", magic, version, len(raw)) + raw
+                    + blob[16 + header_len:])
+
+
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
     d = tmp_path_factory.mktemp("cli")
     assert main(["train", *EASY, "--out", str(d / "a.mlgo")]) == 0
     assert main(["train", *OTHER, "--out", str(d / "b.mlgo")]) == 0
     return d
+
+
+class TestParser:
+    def test_built_once_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_commands_repeat_in_one_process(self, workdir, tmp_path, capsys):
+        def merge(method, name):
+            assert main(["merge", "--inputs", str(workdir / "a.mlgo"),
+                         str(workdir / "b.mlgo"), "--method", method,
+                         "--out", str(tmp_path / f"{name}.mlgo"),
+                         "--report", str(tmp_path / f"{name}.json")]) == 0
+            return capsys.readouterr().out
+
+        first = merge("med-lego", "first")
+        assert main(["inspect", "--input", str(tmp_path / "first.mlgo")]) == 0
+        assert "kept_rank=" in merge("task-arith", "task-arith")
+        assert merge("med-lego", "last") == first
+        for ext in ("mlgo", "json"):
+            assert (tmp_path / f"last.{ext}").read_bytes() == \
+                (tmp_path / f"first.{ext}").read_bytes()
 
 
 class TestTrain:
@@ -197,17 +231,6 @@ class TestInspect:
         bad.write_bytes(b"not an adapter file at all")
         self._every_command_fails(bad, workdir / "a.mlgo", tmp_path, capsys)
 
-    @staticmethod
-    def _rewrite_header(src, dst, mutate):
-        blob = src.read_bytes()
-        magic, version, header_len = struct.unpack_from("<4sIQ", blob)
-        header = json.loads(blob[16:16 + header_len])
-        mutate(header)
-        raw = json.dumps(header).encode()
-        raw += b" " * ((-len(raw)) % 8)
-        dst.write_bytes(struct.pack("<4sIQ", magic, version, len(raw)) + raw
-                        + blob[16 + header_len:])
-
     @pytest.mark.parametrize("shape", [None, "x"])
     def test_malformed_shape_is_runtime_error(self, workdir, tmp_path, capsys, shape):
         def mutate(header):
@@ -216,7 +239,7 @@ class TestInspect:
             else:
                 header["tensors"][0]["shape"] = shape
         bad = tmp_path / "bad.mlgo"
-        self._rewrite_header(workdir / "a.mlgo", bad, mutate)
+        rewrite_header(workdir / "a.mlgo", bad, mutate)
         self._every_command_fails(bad, workdir / "a.mlgo", tmp_path, capsys)
 
     @pytest.mark.parametrize("case", [
@@ -242,5 +265,63 @@ class TestInspect:
                     if entry["target"] == "layer0.Q":
                         entry["target"] = target
         bad = tmp_path / "bad.mlgo"
-        self._rewrite_header(workdir / "a.mlgo", bad, mutate)
+        rewrite_header(workdir / "a.mlgo", bad, mutate)
         self._every_command_fails(bad, workdir / "a.mlgo", tmp_path, capsys)
+
+
+class TestUnfitFiles:
+    """Files that load but do not fit what a command does with them: a
+    command exits 1 with one error line exactly when it reads the part that
+    does not fit, and never prints a traceback."""
+
+    @staticmethod
+    def _small_adapters(good, dst):
+        """8x8 adapters in a file signed like ``good``, a 32-dim backbone."""
+        adapters = {t: init_adapter(8, 8, 2, seed=i, target=t)
+                    for i, t in enumerate(TargetId(layer, slot)
+                                          for layer in range(2) for slot in "QV")}
+        save_adapter_set(AdapterSet(ModelSignature(8, 2, "small"), adapters), dst)
+        sig = load_adapter_set(good).signature
+        rewrite_header(dst, dst, lambda h: h.__setitem__("model_signature",
+                                                           sig.as_dict()))
+
+    @staticmethod
+    def _metadata(key, value):
+        def make(good, dst):
+            rewrite_header(good, dst, lambda h: h["metadata"].__setitem__(key, value))
+        return make
+
+    TASK = {"eval-embedded", "eval-head"}  # the commands that read task metadata
+
+    @pytest.mark.parametrize("make, reads_unfit", [
+        (_small_adapters, {"inspect", "merge", "eval", "eval-embedded", "eval-head"}),
+        (_metadata("components", "x"), TASK),
+        (_metadata("family_seed", "y"), TASK),
+        (_metadata("separation", "nan"), TASK),
+        (_metadata("noise", "inf"), TASK),
+        # far beyond any address space, so the allocation fails everywhere
+        (_metadata("seq_len", str(10**12)), TASK),
+    ], ids=["adapter-shape", "components-x", "family-seed-y", "separation-nan",
+            "noise-inf", "seq-len-huge"])
+    def test_commands_fail_cleanly(self, workdir, tmp_path, capsys, make, reads_unfit):
+        good, bad = workdir / "a.mlgo", tmp_path / "bad.mlgo"
+        make(good, bad)
+        # eval reads the task metadata of the file that gives the head
+        commands = {
+            "inspect": ["inspect", "--input", str(bad)],
+            "merge": ["merge", "--inputs", str(bad), str(good),
+                      "--out", str(tmp_path / "m.mlgo")],
+            "eval": ["eval", "--adapters", str(bad), "--head", str(good),
+                     "--task-seed", "5"],
+            "eval-embedded": ["eval", "--adapters", str(bad), "--task-seed", "5"],
+            "eval-head": ["eval", "--adapters", str(good), "--head", str(bad),
+                          "--task-seed", "5"],
+        }
+        for name, argv in commands.items():
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.err + captured.out, name
+            if name in reads_unfit:
+                assert code == 1 and captured.err.startswith("error:"), name
+            else:
+                assert code == 0 and not captured.err, name

@@ -92,6 +92,40 @@ class TestRoundTrip:
         offsets = [e["offset"] for e in directory]
         assert all(a < b for a, b in zip(offsets, offsets[1:]))
 
+    def test_loaded_tensors_are_separate_writable_arrays(self, tmp_path):
+        path = tmp_path / "w.mlgo"
+        storage.save_adapter_set(build_set(6), path)
+        arrays = [arr for _, _, arr in storage.load_adapter_set(path).tensors()]
+        assert len(arrays) == 14
+        for arr in arrays:
+            assert arr.dtype == np.float64
+            assert arr.flags.c_contiguous and arr.flags.writeable
+        assert not any(np.shares_memory(a, b)
+                       for i, a in enumerate(arrays) for b in arrays[i + 1:])
+
+    def test_unaligned_offsets_load_the_same_values(self, tmp_path):
+        # The writer aligns every tensor to 8 bytes; FORMAT.md does not
+        # require it, so a file with a 3-byte gap before the first tensor
+        # still loads.
+        s = build_set(8)
+        path = tmp_path / "u.mlgo"
+        storage.save_adapter_set(s, path)
+        blob = path.read_bytes()
+        magic, version, header_len = struct.unpack_from("<4sIQ", blob)
+        header = json.loads(blob[16:16 + header_len])
+        for entry in header["tensors"]:
+            entry["offset"] += 3
+        raw = json.dumps(header).encode()
+        raw += b" " * ((-len(raw)) % 8)
+        path.write_bytes(struct.pack("<4sIQ", magic, version, len(raw)) + raw
+                         + b"\0\0\0" + blob[16 + header_len:])
+        loaded = storage.load_adapter_set(path)
+        assert [(role, tid) for role, tid, _ in loaded.tensors()] == \
+            [(role, tid) for role, tid, _ in s.tensors()]
+        for (_, _, got), (_, _, want) in zip(loaded.tensors(), s.tensors()):
+            assert np.array_equal(got, want)
+        assert loaded.digest() == s.digest()
+
     def test_save_is_deterministic(self, tmp_path):
         s = build_set(5)
         p1, p2 = tmp_path / "1.mlgo", tmp_path / "2.mlgo"
@@ -229,11 +263,12 @@ class TestCorruption:
         (_set_signature("embed_dim", True), "malformed header"),
         (_set_signature("num_layers", 2.0), "malformed header"),
         (_set_signature("config_digest", 5), "malformed header"),
+        (_set_signature("embed_dim", 16), r"layer0\.Q has shape \(8, 8\)"),
     ], ids=["negative-shape", "negative-layer", "layer-out-of-range",
             "head-bias-shape", "missing-target", "tensors-null", "tensors-number",
             "tensors-bool", "duplicate-name", "duplicate-role", "duplicate-head-role",
             "metadata-int", "metadata-pairs", "embed-dim-string", "embed-dim-bool",
-            "num-layers-float", "digest-int"])
+            "num-layers-float", "digest-int", "adapter-shape-vs-signature"])
     def test_inconsistent_header(self, saved, mutate, match):
         self._rewrite_header(saved, mutate)
         with pytest.raises(CorruptionError, match=match):
@@ -245,6 +280,17 @@ class TestCorruption:
         struct.pack_into("<d", blob, 16 + header_len, float("nan"))
         saved.write_bytes(bytes(blob))
         with pytest.raises(NumericError):
+            storage.load_adapter_set(saved)
+
+    def test_nan_in_second_tensor_names_it(self, saved):
+        blob = bytearray(saved.read_bytes())
+        _, _, header_len = struct.unpack_from("<4sIQ", blob)
+        second = json.loads(blob[16:16 + header_len])["tensors"][1]
+        assert second["name"] == "layer0.Q.E"
+        struct.pack_into("<d", blob, 16 + header_len + second["offset"] + 8,
+                         float("inf"))
+        saved.write_bytes(bytes(blob))
+        with pytest.raises(NumericError, match="tensor layer0.Q.E contains non-finite"):
             storage.load_adapter_set(saved)
 
     def test_incomplete_target(self, saved):

@@ -5,7 +5,7 @@ from svdlora import train
 from svdlora.adapter import AdapterSet, SvdLoraAdapter
 from svdlora.data import TaskSpec, generate_task
 from svdlora.errors import DataError, ModelError, ParameterError, TrainingError
-from svdlora.model import (TinyModel, cross_entropy, forward,
+from svdlora.model import (GradSet, TinyModel, cross_entropy, forward,
                            orthogonality_penalty)
 from svdlora.train import (TrainConfig, epochs_to_accuracy, evaluate,
                            gradients, init_adapter_set, loss, train_adapter)
@@ -82,6 +82,11 @@ class TestGenerateTask:
             TaskSpec(task_seed=0, num_classes=1)
         with pytest.raises(ParameterError):
             TaskSpec(task_seed=0, n_val=1, num_classes=4)
+        for bad in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ParameterError, match="finite and non-negative"):
+                TaskSpec(task_seed=0, separation=bad)
+            with pytest.raises(ParameterError, match="finite and non-negative"):
+                TaskSpec(task_seed=0, noise=bad)
 
 
 class TestForward:
@@ -219,6 +224,20 @@ class TestGradients:
         assert [b.shape for b in blocks] == [arr.shape for _, _, arr in aset.tensors()]
         assert np.array_equal(grads.flat, np.concatenate([b.ravel() for b in blocks]))
         assert all(np.shares_memory(grads.flat, b) for b in blocks)
+
+    def test_reused_gradset_is_overwritten(self, model):
+        # train_adapter writes every step into one GradSet; stale values
+        # must not leak into the next step
+        aset = randomized_set(model)
+        ds = generate_task(TaskSpec(task_seed=6, num_classes=3))
+        x, y = ds.train[0][:8], ds.train[1][:8]
+        value, fresh = gradients(model, aset, x, y, 0.1)
+        reused = GradSet(aset)
+        reused.flat.fill(np.nan)
+        value_again, out = gradients(model, aset, x, y, 0.1, reused)
+        assert out is reused
+        assert value_again == value and out.ortho_penalty == fresh.ortho_penalty
+        assert np.array_equal(out.flat, fresh.flat)
 
     def test_reg_gradient_zero_at_orthonormal_point(self, model):
         aset = randomized_set(model).canonicalized()
