@@ -43,8 +43,12 @@ class TargetId:
 
     @classmethod
     def parse(cls, text: str) -> "TargetId":
+        """The target whose ``str`` is ``text``; other spellings raise ValueError."""
         layer, slot = text.split(".")
-        return cls(layer=int(layer.removeprefix("layer")), slot=slot)
+        tid = cls(layer=int(layer.removeprefix("layer")), slot=slot)
+        if str(tid) != text:
+            raise ValueError(f"{text!r} is not the spelling of target {tid}")
+        return tid
 
 
 @dataclass(frozen=True)
@@ -214,10 +218,6 @@ class AdapterSet:
                 raise DimensionError(f"head bias shape {hb.shape} != ({hw.shape[1]},)")
             self.head_w = hw
             self.head_b = hb
-
-    @property
-    def num_classes(self) -> int | None:
-        return None if self.head_w is None else self.head_w.shape[1]
 
     def sorted_targets(self) -> list[TargetId]:
         return sorted(self.adapters)

@@ -48,6 +48,14 @@ class TaskSpec:
                 f"separation and noise must be finite and non-negative, got "
                 f"{self.separation} and {self.noise}"
             )
+        # The largest array is a split's tokens or the cluster means; numpy
+        # cannot even describe one of more than intp-max bytes.
+        largest = 8 * self.embed_dim * max(
+            max(self.n_train, self.n_val, self.n_test) * self.seq_len,
+            self.num_classes * self.components)
+        if largest > np.iinfo(np.intp).max:
+            raise ParameterError(f"the task's largest array would take {largest} bytes, "
+                                 "more than numpy can index")
 
     @property
     def label(self) -> str:

@@ -9,7 +9,7 @@ columns. When every pair's rotation is tiny, all of them are applied at once
 as one matrix product; a cluster of nearly equal singular values makes some
 rotation large, and then a round-robin sweep of pairwise rotations runs
 instead. No LAPACK SVD driver is used; the symmetric eigensolver supplies the
-starting basis only.
+starting basis, and a QR completes U where a singular value is exactly zero.
 """
 
 from __future__ import annotations
@@ -38,12 +38,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(m).all():
         raise NumericError(f"{name} contains non-finite entries")
     return m
-
-
-def frobenius_norm(m: np.ndarray) -> float:
-    """sqrt of the sum of squared entries."""
-    m = as_matrix(m, "matrix")
-    return float(np.sqrt(np.sum(m * m)))
 
 
 @dataclass(frozen=True)
@@ -100,31 +94,6 @@ def _round_robin_rounds(n: int):
                            np.array([p[1] for p in pairs], dtype=np.intp)))
         players = [players[0]] + [players[-1]] + players[1:-1]
     return rounds
-
-
-def _complete_orthonormal(u: np.ndarray, dead: np.ndarray) -> None:
-    """Fill columns flagged in ``dead`` with unit vectors orthogonal to all
-    other columns (Gram-Schmidt against the standard basis)."""
-    m = u.shape[0]
-    live = [j for j in range(u.shape[1]) if not dead[j]]
-    basis = [u[:, j].copy() for j in live]
-    fills = []
-    cand = 0
-    while len(fills) < int(dead.sum()):
-        if cand >= m:  # cannot happen for k <= m, guarded anyway
-            raise NumericError("failed to complete orthonormal basis")
-        v = np.zeros(m)
-        v[cand] = 1.0
-        for b in basis:
-            v -= (b @ v) * b
-        nrm = np.linalg.norm(v)
-        if nrm > 0.5:
-            v /= nrm
-            basis.append(v)
-            fills.append(v)
-        cand += 1
-    for j, v in zip(np.flatnonzero(dead), fills):
-        u[:, j] = v
 
 
 def _relative_gram(gram: np.ndarray) -> np.ndarray:
@@ -254,10 +223,13 @@ def svd(m: np.ndarray) -> SvdFactors:
     norms = norms[order]
     u = work[:, order]
     v = v[:, order]
-    dead = norms == 0.0
-    u[:, ~dead] /= norms[~dead]
-    if np.any(dead):
-        _complete_orthonormal(u, dead)
+    live = int(np.count_nonzero(norms))  # zero norms sort last
+    u[:, :live] /= norms[:live]
+    if live < n:
+        # Complete U: the trailing columns of an orthogonal Q whose leading
+        # columns span the live ones are orthogonal to them.
+        q = np.linalg.qr(np.hstack([u[:, :live], np.eye(m.shape[0])]))[0]
+        u[:, live:] = q[:, live:n]
     return SvdFactors(U=u, S=norms, V=v)
 
 

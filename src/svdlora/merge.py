@@ -255,4 +255,5 @@ def premerge_postmerge_gap(adapters: list[SvdLoraAdapter]) -> float:
     """
     pre = delta(baseline_pre_merge(adapters))
     post = sum(delta(a) for a in adapters) / len(adapters)
-    return linalg.frobenius_norm(pre - post)
+    d = pre - post
+    return float(np.sqrt(np.sum(d * d)))

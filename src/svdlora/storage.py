@@ -54,6 +54,15 @@ def canonical_json(obj) -> str:
 # --- adapter files --------------------------------------------------------
 
 _HEAD_NAMES = {"head_w": "head.weight", "head_b": "head.bias"}
+_ROLES = ("B", "E", "A", *_HEAD_NAMES)
+
+# The header's schema: each JSON object's exact keys, and the JSON types each
+# value may take. type() rather than isinstance() matches them, so that true
+# and false never pass as integers.
+_HEADER = {"model_signature": (dict,), "metadata": (dict,), "tensors": (list,)}
+_SIGNATURE = {"embed_dim": (int,), "num_layers": (int,), "config_digest": (str,)}
+_ENTRY = {"name": (str,), "role": (str,), "target": (str, type(None)),
+          "shape": (list,), "offset": (int,), "length": (int,)}
 
 
 def save_adapter_set(s: AdapterSet, path) -> None:
@@ -89,32 +98,62 @@ def save_adapter_set(s: AdapterSet, path) -> None:
         raise OSError(f"failed to write adapter file {path}: {exc}") from exc
 
 
-def _read_tensor(payload: bytearray, name: str, shape: tuple[int, ...],
-                 offset: int, length: int) -> np.ndarray:
-    """The tensor as a view of its own bytes of ``payload``; the caller has
-    checked that those bytes lie inside the payload."""
-    if any(dim < 0 for dim in shape):
-        raise CorruptionError(f"tensor {name}: negative dimension in shape {shape}")
-    expected = 8 * math.prod(shape)
-    if length != expected:
-        raise CorruptionError(
-            f"tensor {name}: declared length {length} != shape {shape} bytes {expected}"
-        )
-    arr = np.frombuffer(payload, dtype="<f8", count=length // 8,
-                        offset=offset).reshape(shape)
-    if not np.isfinite(arr).all():
-        raise NumericError(f"tensor {name} contains non-finite values")
-    return arr
+def _fields(obj, schema: dict, where: str) -> list:
+    """``obj``'s values in ``schema`` order, once ``obj`` is a JSON object
+    with exactly ``schema``'s keys and each value of one of its types."""
+    if type(obj) is not dict or obj.keys() != schema.keys():
+        raise CorruptionError(f"{where}: keys are not {sorted(schema)}")
+    for key, types in schema.items():
+        if type(obj[key]) not in types:
+            raise CorruptionError(f"{where}: {key} has type {type(obj[key]).__name__}")
+    return [obj[key] for key in schema]
+
+
+def _check_header(header, payload_size: int, path):
+    """Check a parsed header against the one schema in FORMAT.md, before
+    any tensor is read. Returns the signature, the metadata and the
+    directory as ``(name, role, target, shape, offset)``, where ``target``
+    is a :class:`TargetId`, or None for the head."""
+    sig, metadata, entries = _fields(header, _HEADER, f"{path}: malformed header")
+    _fields(sig, _SIGNATURE, f"{path}: malformed header: model_signature")
+    if not all(type(v) is str for v in metadata.values()):
+        raise CorruptionError(f"{path}: malformed header: a metadata value is no string")
+    directory, seen, end = [], set(), 0
+    for i, entry in enumerate(entries):
+        where = f"{path}: malformed directory entry {i}"
+        name, role, target, shape, offset, length = _fields(entry, _ENTRY, where)
+        # One or two dimensions, none below 1: a shape that holds no element
+        # could still name more than numpy can describe.
+        if not (1 <= len(shape) <= 2 and all(type(n) is int and n >= 1 for n in shape)):
+            raise CorruptionError(f"{where}: shape {shape} is not one or two positive "
+                                  "integers (a zero or negative dimension, or a non-integer)")
+        if role not in _ROLES or (target is None) != (role in _HEAD_NAMES):
+            raise CorruptionError(
+                f"{path}: entry {name}: {role!r} is not a role for target {target!r}")
+        try:
+            owner = None if target is None else TargetId.parse(target)
+        except (ValueError, ToolkitError) as exc:
+            raise CorruptionError(f"{path}: bad target {target!r} in entry {name}") from exc
+        if name in seen or (role, owner) in seen:
+            raise CorruptionError(f"{path}: duplicate {role} of {owner or 'the head'}: {name}")
+        seen.update((name, (role, owner)))
+        if offset < end:
+            raise CorruptionError(f"{path}: directory offsets overlap at {name}")
+        end = offset + length
+        if length < 0 or end > payload_size:
+            raise CorruptionError(f"{path}: tensor {name} out of payload bounds")
+        if length != 8 * math.prod(shape):
+            raise CorruptionError(f"{path}: tensor {name}: declared length {length} "
+                                  f"!= shape {shape} bytes {8 * math.prod(shape)}")
+        directory.append((name, role, owner, tuple(shape), offset))
+    return ModelSignature(**sig), metadata, directory
 
 
 def load_adapter_set(path) -> AdapterSet:
-    """Load and fully validate an adapter file.
-
-    Bad magic or version raises FormatError; inconsistent directories, and
-    adapters that do not fit the signature, raise CorruptionError; a
-    non-finite value in any tensor raises NumericError. Every read is
-    bounds-checked against the declared directory.
-    """
+    """Load and fully validate an adapter file: FormatError for a bad magic
+    or version, CorruptionError for a header that breaks the schema or for
+    adapters that do not fit the signature, NumericError for a non-finite
+    value in any tensor."""
     blob = Path(path).read_bytes()
     if len(blob) < _PREFIX.size:
         raise CorruptionError(f"{path}: file shorter than header prefix")
@@ -123,68 +162,28 @@ def load_adapter_set(path) -> AdapterSet:
         raise FormatError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
     if version != VERSION:
         raise FormatError(f"{path}: unsupported version {version}, supported: {VERSION}")
-    if _PREFIX.size + header_len > len(blob):
+    start = _PREFIX.size + header_len
+    if start > len(blob):
         raise CorruptionError(f"{path}: declared header length {header_len} exceeds file")
     try:
-        header = json.loads(blob[_PREFIX.size:_PREFIX.size + header_len].decode("utf-8"))
-        directory = list(header["tensors"])
-        sig, metadata = header["model_signature"], header["metadata"]
-        # type() rather than isinstance(): a JSON true must not pass as 1
-        if not (type(sig["embed_dim"]) is int and type(sig["num_layers"]) is int
-                and isinstance(sig["config_digest"], str)):
-            raise TypeError(f"model signature fields have the wrong types: {sig}")
-        if not (isinstance(metadata, dict)
-                and all(isinstance(v, str) for v in metadata.values())):
-            raise TypeError("metadata must map strings to strings")
-        signature = ModelSignature(sig["embed_dim"], sig["num_layers"], sig["config_digest"])
-    except (ValueError, KeyError, TypeError) as exc:
+        header = json.loads(blob[_PREFIX.size:start].decode("utf-8"))
+    except ValueError as exc:
         raise CorruptionError(f"{path}: malformed header: {exc}") from exc
+    signature, metadata, directory = _check_header(header, len(blob) - start, path)
 
     # The one copy of the payload: every tensor is a view of its own byte
     # range, so loaded arrays are writable and share no memory.
-    payload = bytearray(memoryview(blob)[_PREFIX.size + header_len:])
-    tensors: dict[str, np.ndarray] = {}
-    roles: dict[str, dict] = {}
-    cursor = -1
-    for entry in directory:
-        try:
-            offset, length = entry["offset"], entry["length"]
-            name = str(entry["name"])
-            shape = tuple(entry["shape"])
-            if not all(type(v) is int for v in (offset, length, *shape)):
-                raise TypeError("offset, length and shape must be JSON integers")
-        except (KeyError, TypeError) as exc:
-            raise CorruptionError(f"{path}: malformed directory entry: {exc}") from exc
-        if name in tensors:
-            raise CorruptionError(f"{path}: duplicate tensor name {name}")
-        if offset <= cursor:
-            raise CorruptionError(f"{path}: directory offsets overlap at {name}")
-        if length < 0 or offset + length > len(payload):
-            raise CorruptionError(f"{path}: tensor {name} out of payload bounds")
-        cursor = offset + length - 1
-        tensors[name] = _read_tensor(payload, name, shape, offset, length)
-        roles[name] = entry
-
+    payload = bytearray(memoryview(blob)[start:])
     per_target: dict[TargetId, dict[str, np.ndarray]] = {}
     head: dict[str, np.ndarray] = {}
-    for name, entry in roles.items():
-        role = entry.get("role")
-        if role in ("B", "E", "A"):
-            try:
-                tid = TargetId.parse(str(entry["target"]))
-            except (KeyError, ValueError, AttributeError, ToolkitError) as exc:
-                raise CorruptionError(f"{path}: bad target in entry {name}") from exc
-            parts = per_target.setdefault(tid, {})
-        elif role in ("head_w", "head_b"):
-            parts = head
-        else:
-            raise CorruptionError(f"{path}: unknown tensor role {role!r}")
-        if role in parts:
-            raise CorruptionError(f"{path}: duplicate {role} tensor {name}")
-        parts[role] = tensors[name]
-
+    for name, role, target, shape, offset in directory:
+        arr = np.frombuffer(payload, dtype="<f8", count=math.prod(shape),
+                            offset=offset).reshape(shape)
+        if not np.isfinite(arr).all():
+            raise NumericError(f"tensor {name} contains non-finite values")
+        (head if target is None else per_target.setdefault(target, {}))[role] = arr
     for tid, parts in per_target.items():
-        if set(parts) != {"B", "E", "A"}:
+        if len(parts) != 3:  # roles are unique per target, so B, E and A
             raise CorruptionError(f"{path}: incomplete factors for target {tid}")
     # Every tensor is finite by now, so a failed check here means the
     # header's shapes or targets do not fit together.

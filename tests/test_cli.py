@@ -301,8 +301,13 @@ class TestUnfitFiles:
         (_metadata("noise", "inf"), TASK),
         # far beyond any address space, so the allocation fails everywhere
         (_metadata("seq_len", str(10**12)), TASK),
+        # beyond what numpy can describe
+        (_metadata("seq_len", str(10**17)), TASK),
+        (_metadata("seq_len", str(10**30)), TASK),
+        (_metadata("components", str(10**17)), TASK),
     ], ids=["adapter-shape", "components-x", "family-seed-y", "separation-nan",
-            "noise-inf", "seq-len-huge"])
+            "noise-inf", "seq-len-huge", "seq-len-beyond-numpy", "seq-len-beyond-dims",
+            "components-beyond-numpy"])
     def test_commands_fail_cleanly(self, workdir, tmp_path, capsys, make, reads_unfit):
         good, bad = workdir / "a.mlgo", tmp_path / "bad.mlgo"
         make(good, bad)

@@ -19,27 +19,19 @@ def stacked_core(rng, graded=False, d=128, r=4, n=7):
     return b, e, a
 
 
-class TestFrobenius:
-    def test_zero(self):
-        assert linalg.frobenius_norm(np.zeros((3, 4))) == 0.0
-
-    def test_three_four_five(self):
-        assert linalg.frobenius_norm(np.array([[3.0, 4.0]])) == 5.0
-
-    def test_extended_precision_oracle(self):
-        rng = np.random.default_rng(11)
-        m = rng.standard_normal((9, 5))
-        # oracle at extended precision via math.fsum of squares
-        import math
-        expected = math.sqrt(math.fsum(float(v) ** 2 for v in m.ravel()))
-        assert linalg.frobenius_norm(m) == pytest.approx(expected, rel=1e-14)
-
-
 class TestSvd:
     def test_zero_matrix(self):
         f = linalg.svd(np.zeros((4, 3)))
         assert np.array_equal(f.S, [0.0, 0.0, 0.0])
         f.validate()
+
+    def test_zero_columns_complete_an_orthonormal_u(self):
+        m = np.random.default_rng(5).standard_normal((6, 4))
+        m[:, [1, 3]] = 0.0
+        f = linalg.svd(m)
+        assert np.all(f.S[:2] > 0) and np.array_equal(f.S[2:], [0.0, 0.0])
+        f.validate()
+        np.testing.assert_allclose(f.reconstruct(), m, atol=1e-12)
 
     def test_signed_diagonal(self):
         m = np.diag([3.0, -2.0, 0.5, -7.0])

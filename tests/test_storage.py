@@ -220,6 +220,12 @@ class TestCorruption:
         return mutate
 
     @staticmethod
+    def _retarget_head(target):
+        def mutate(header):
+            next(e for e in header["tensors"] if e["role"] == "head_w")["target"] = target
+        return mutate
+
+    @staticmethod
     def _negate_first_shape(header):
         entry = header["tensors"][0]
         entry["shape"] = [-dim for dim in entry["shape"]]  # same product
@@ -250,7 +256,16 @@ class TestCorruption:
         (_retarget_layer0_q("layer-1.Q"), "bad target"),
         (_retarget_layer0_q("layer5.Q"), "out of range"),
         (_head_bias_as_row, "head bias shape"),
-        (lambda header: header["tensors"][0].pop("target"), "bad target"),
+        (lambda header: header["tensors"][0].pop("target"), "malformed directory entry"),
+        (_retarget_layer0_q("layer00.Q"), "bad target"),
+        (_retarget_head("layer0.Q"), "not a role for target"),
+        (lambda header: header["tensors"][0].__setitem__("dtype", "f4"),
+         "malformed directory entry"),
+        (lambda header: header.__setitem__("format", "x"), "malformed header"),
+        (lambda header: header["tensors"][0].update(shape=[0, 10**30], length=0),
+         "zero or negative dimension"),
+        (lambda header: header["tensors"][0].update(shape=[1] * 70, length=8),
+         "not one or two"),
         (lambda header: header.__setitem__("tensors", None), "malformed header"),
         (lambda header: header.__setitem__("tensors", 5), "malformed header"),
         (lambda header: header.__setitem__("tensors", True), "malformed header"),
@@ -265,7 +280,9 @@ class TestCorruption:
         (_set_signature("config_digest", 5), "malformed header"),
         (_set_signature("embed_dim", 16), r"layer0\.Q has shape \(8, 8\)"),
     ], ids=["negative-shape", "negative-layer", "layer-out-of-range",
-            "head-bias-shape", "missing-target", "tensors-null", "tensors-number",
+            "head-bias-shape", "missing-target", "non-canonical-target", "head-with-target",
+            "extra-entry-key", "extra-header-key", "empty-shape-beyond-numpy",
+            "seventy-dims", "tensors-null", "tensors-number",
             "tensors-bool", "duplicate-name", "duplicate-role", "duplicate-head-role",
             "metadata-int", "metadata-pairs", "embed-dim-string", "embed-dim-bool",
             "num-layers-float", "digest-int", "adapter-shape-vs-signature"])
@@ -273,6 +290,51 @@ class TestCorruption:
         self._rewrite_header(saved, mutate)
         with pytest.raises(CorruptionError, match=match):
             storage.load_adapter_set(saved)
+
+    def test_schema_mutation_sweep(self, saved):
+        """Each field of the header, the signature and every directory entry
+        is dropped, retyped or given a sibling key, and each entry is
+        duplicated: every such file raises CorruptionError, except for the
+        values the schema allows (new free text, or an empty metadata map or
+        directory), which load."""
+        original = saved.read_bytes()
+        header = json.loads(original[16:16 + struct.unpack_from("<4sIQ", original)[2]])
+        cases = [("the unchanged header", lambda h: None, True)]
+        objects = {"header": lambda h: h, "model_signature": lambda h: h["model_signature"]}
+        objects.update({f"tensors[{i}]": lambda h, i=i: h["tensors"][i]
+                        for i in range(len(header["tensors"]))})
+        for label, get in objects.items():
+            for key, old in get(header).items():
+                cases.append((f"{label} without {key}",
+                              lambda h, get=get, key=key: get(h).pop(key), False))
+                for value in (None, 1.5, True, "x", [], {}):
+                    if json.dumps(value) == json.dumps(old):
+                        continue  # a head entry's null target
+                    loads = (value == "x" and key in ("name", "config_digest")
+                             or (key, value) in (("metadata", {}), ("tensors", [])))
+                    cases.append((f"{label}.{key} = {value!r}", lambda h, get=get, key=key,
+                                  value=value: get(h).__setitem__(key, value), loads))
+            cases.append((f"{label} with a sibling key",
+                          lambda h, get=get: get(h).__setitem__("x", 0), False))
+        for i in range(len(header["tensors"])):
+            cases.append((f"tensors[{i}] twice",
+                          lambda h, i=i: h["tensors"].insert(i, dict(h["tensors"][i])), False))
+        for key in header["metadata"]:
+            for value in (None, 1.5, True, "x", [], {}):
+                cases.append((f"metadata.{key} = {value!r}", lambda h, key=key, value=value:
+                              h["metadata"].__setitem__(key, value), value == "x"))
+
+        def loads(mutate):
+            saved.write_bytes(original)
+            self._rewrite_header(saved, mutate)
+            try:
+                storage.load_adapter_set(saved)
+            except CorruptionError:
+                return False
+            return True
+
+        assert len(cases) > 600
+        assert [label for label, mutate, ok in cases if loads(mutate) != ok] == []
 
     def test_nan_payload(self, saved):
         blob = bytearray(saved.read_bytes())
