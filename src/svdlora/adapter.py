@@ -51,6 +51,11 @@ class TargetId:
         return tid
 
 
+def _check_rank(r: int, d_m: int, d_n: int) -> None:
+    if r > min(d_m, d_n):
+        raise ParameterError(f"rank {r} exceeds min(d_m, d_n) = {min(d_m, d_n)}")
+
+
 @dataclass(frozen=True)
 class SvdLoraAdapter:
     """Factors (B, E, A) for one target; delta = B @ diag(E) @ A."""
@@ -61,20 +66,16 @@ class SvdLoraAdapter:
     A: np.ndarray  # (r, d_n)
 
     def __post_init__(self):
-        b = linalg.as_matrix(self.B, "B")
-        a = linalg.as_matrix(self.A, "A")
-        e = np.ascontiguousarray(self.E, dtype=np.float64)
-        if e.ndim != 1:
-            raise DimensionError(f"E must be a vector, got shape {e.shape}")
+        name = f"tensor {self.target}"
+        b = linalg.as_matrix(self.B, f"{name}.B")
+        e = linalg.as_matrix(self.E, f"{name}.E", ndim=1)
+        a = linalg.as_matrix(self.A, f"{name}.A")
         r = b.shape[1]
         if e.shape[0] != r or a.shape[0] != r:
             raise DimensionError(
                 f"inconsistent adapter shapes B{b.shape} E{e.shape} A{a.shape}"
             )
-        if r > min(b.shape[0], a.shape[1]):
-            raise ParameterError(
-                f"rank {r} exceeds min(d_m, d_n) = {min(b.shape[0], a.shape[1])}"
-            )
+        _check_rank(r, b.shape[0], a.shape[1])
         object.__setattr__(self, "B", b)
         object.__setattr__(self, "E", e)
         object.__setattr__(self, "A", a)
@@ -98,8 +99,7 @@ def init_adapter(d_m: int, d_n: int, r: int, seed: int,
     """
     if r < 1:
         raise ParameterError(f"rank must be positive, got {r}")
-    if r > min(d_m, d_n):
-        raise ParameterError(f"rank {r} exceeds min({d_m}, {d_n})")
+    _check_rank(r, d_m, d_n)  # before drawing (d_m + d_n) * r samples
     rng = np.random.default_rng(seed)
     b = std * rng.standard_normal((d_m, r))
     a = std * rng.standard_normal((r, d_n))
@@ -169,6 +169,11 @@ class ModelSignature:
     num_layers: int
     config_digest: str
 
+    def __post_init__(self):
+        if self.embed_dim < 1 or self.num_layers < 1:
+            raise ParameterError(f"embed_dim and num_layers must be positive, got "
+                                 f"{self.embed_dim} and {self.num_layers}")
+
     def as_dict(self) -> dict:
         return {
             "embed_dim": self.embed_dim,
@@ -208,7 +213,7 @@ class AdapterSet:
         if (self.head_w is None) != (self.head_b is None):
             raise ModelError("head weight and bias must be given together")
         if self.head_w is not None:
-            hw = linalg.as_matrix(self.head_w, "head_w")
+            hw = linalg.as_matrix(self.head_w, "tensor head_w")
             hb = np.ascontiguousarray(self.head_b, dtype=np.float64)
             if hw.shape[0] != self.signature.embed_dim:
                 raise DimensionError(
@@ -217,7 +222,7 @@ class AdapterSet:
             if hb.shape != (hw.shape[1],):
                 raise DimensionError(f"head bias shape {hb.shape} != ({hw.shape[1]},)")
             self.head_w = hw
-            self.head_b = hb
+            self.head_b = linalg.as_matrix(hb, "tensor head_b", ndim=1)
 
     def sorted_targets(self) -> list[TargetId]:
         return sorted(self.adapters)

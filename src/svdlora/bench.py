@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .adapter import AdapterSet
 from .data import TaskSpec, generate_task
+from .errors import ParameterError
 from .merge import MergeConfig, MergeMethod, merge_sets
 from .model import TinyModel
 from .train import (TrainConfig, TrainResult, curve_csv_lines, epochs_to_accuracy,
@@ -38,7 +39,7 @@ class BenchSuite:
         seeds = [t.task_seed for t in self.cross_tasks + self.in_domain_tasks
                  + self.held_out_tasks]
         if len(seeds) != len(set(seeds)):
-            raise ValueError("task seeds must be distinct across the suite")
+            raise ParameterError("task seeds must be distinct across the suite")
 
     @property
     def run_seeds(self) -> range:

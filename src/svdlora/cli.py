@@ -159,11 +159,7 @@ def cmd_inspect(args) -> int:
           f"config_digest={sig.config_digest}")
     for key in sorted(s.metadata):
         print(f"metadata.{key}={s.metadata[key]}")
-    if s.adapters:
-        count, fraction = param_count(
-            s, backbone_param_count(sig.embed_dim, sig.num_layers))
-    else:
-        count, fraction = 0, 0.0
+    count, fraction = param_count(s, backbone_param_count(sig.embed_dim, sig.num_layers))
     print(f"param_count={count}")
     print(f"param_fraction={fraction:.6f}")
     for tid in s.sorted_targets():

@@ -28,11 +28,12 @@ _JACOBI_MAX_SWEEPS = 60
 _POLISH_MAX_TANGENT = 1e-8
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D float64 array and reject non-finite entries."""
+def as_matrix(a, name: str = "matrix", ndim: int = 2) -> np.ndarray:
+    """Coerce to a non-empty ``ndim``-D float64 array and reject non-finite
+    entries: the one statement of what a factor, head or SVD input holds."""
     m = np.ascontiguousarray(a, dtype=np.float64)
-    if m.ndim != 2:
-        raise DimensionError(f"{name} must be 2-D, got shape {m.shape}")
+    if m.ndim != ndim:
+        raise DimensionError(f"{name} must be {ndim}-D, got shape {m.shape}")
     if m.size == 0:
         raise DimensionError(f"{name} must be non-empty, got shape {m.shape}")
     if not np.isfinite(m).all():
@@ -233,6 +234,15 @@ def svd(m: np.ndarray) -> SvdFactors:
     return SvdFactors(U=u, S=norms, V=v)
 
 
+def check_cut(v: float, max_rank: int | None = None) -> None:
+    """ParameterError unless ``v`` lies in (0, 1] and ``max_rank`` is None
+    or positive: the domain of :func:`truncate`'s cut."""
+    if not (0.0 < v <= 1.0):
+        raise ParameterError(f"threshold must lie in (0, 1], got {v}")
+    if max_rank is not None and max_rank < 1:
+        raise ParameterError(f"max_rank must be positive, got {max_rank}")
+
+
 def truncate(f: SvdFactors, v: float, max_rank: int | None = None) -> SvdFactors:
     """Keep the smallest leading k with cumulative singular mass >= v.
 
@@ -240,10 +250,7 @@ def truncate(f: SvdFactors, v: float, max_rank: int | None = None) -> SvdFactors
     ``max_rank`` when given, and is at least 1; an all-zero spectrum keeps a
     single zero component.
     """
-    if not (0.0 < v <= 1.0):
-        raise ParameterError(f"threshold must lie in (0, 1], got {v}")
-    if max_rank is not None and max_rank < 1:
-        raise ParameterError(f"max_rank must be positive, got {max_rank}")
+    check_cut(v, max_rank)
     cum = np.cumsum(f.S)
     total = cum[-1] if len(cum) else 0.0
     if total <= 0.0:

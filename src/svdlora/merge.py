@@ -13,6 +13,7 @@ scaled by lambda with every non-zero component kept, and factor-wise
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -52,12 +53,11 @@ class MergeConfig:
     lam: float | None = None  # task-arithmetic scale; defaults to 1/N
 
     def __post_init__(self):
-        if not (0.0 < self.threshold_v <= 1.0):
-            raise ParameterError(f"threshold must lie in (0, 1], got {self.threshold_v}")
-        if self.max_rank is not None and self.max_rank < 1:
-            raise ParameterError(f"max_rank must be positive, got {self.max_rank}")
+        linalg.check_cut(self.threshold_v, self.max_rank)
         if self.lam is not None and self.method is not MergeMethod.TASK_ARITHMETIC:
             raise ParameterError("lambda applies to task-arith only")
+        if self.lam is not None and not math.isfinite(self.lam):
+            raise ParameterError(f"lambda must be finite, got {self.lam}")
         if self.method is not MergeMethod.MED_LEGO and (
                 self.threshold_v != DEFAULT_THRESHOLD or self.max_rank is not None):
             raise ParameterError("threshold and max_rank apply to med-lego only")

@@ -111,9 +111,9 @@ def _fields(obj, schema: dict, where: str) -> list:
 
 def _check_header(header, payload_size: int, path):
     """Check a parsed header against the one schema in FORMAT.md, before
-    any tensor is read. Returns the signature, the metadata and the
-    directory as ``(name, role, target, shape, offset)``, where ``target``
-    is a :class:`TargetId`, or None for the head."""
+    any tensor is read. Returns the signature's fields, the metadata and
+    the directory as ``(role, target, shape, offset)``, where ``target`` is
+    a :class:`TargetId`, or None for the head."""
     sig, metadata, entries = _fields(header, _HEADER, f"{path}: malformed header")
     _fields(sig, _SIGNATURE, f"{path}: malformed header: model_signature")
     if not all(type(v) is str for v in metadata.values()):
@@ -145,15 +145,23 @@ def _check_header(header, payload_size: int, path):
         if length != 8 * math.prod(shape):
             raise CorruptionError(f"{path}: tensor {name}: declared length {length} "
                                   f"!= shape {shape} bytes {8 * math.prod(shape)}")
-        directory.append((name, role, owner, tuple(shape), offset))
-    return ModelSignature(**sig), metadata, directory
+        directory.append((role, owner, tuple(shape), offset))
+    return sig, metadata, directory
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's dict, or ValueError if it repeats a key."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise ValueError("repeated key in a JSON object")
+    return obj
 
 
 def load_adapter_set(path) -> AdapterSet:
     """Load and fully validate an adapter file: FormatError for a bad magic
     or version, CorruptionError for a header that breaks the schema or for
-    adapters that do not fit the signature, NumericError for a non-finite
-    value in any tensor."""
+    contents the constructors reject, except for their NumericError on a
+    non-finite value, which passes through as it is."""
     blob = Path(path).read_bytes()
     if len(blob) < _PREFIX.size:
         raise CorruptionError(f"{path}: file shorter than header prefix")
@@ -166,35 +174,37 @@ def load_adapter_set(path) -> AdapterSet:
     if start > len(blob):
         raise CorruptionError(f"{path}: declared header length {header_len} exceeds file")
     try:
-        header = json.loads(blob[_PREFIX.size:start].decode("utf-8"))
+        header = json.loads(blob[_PREFIX.size:start].decode("utf-8"),
+                            object_pairs_hook=_unique_keys)
     except ValueError as exc:
         raise CorruptionError(f"{path}: malformed header: {exc}") from exc
-    signature, metadata, directory = _check_header(header, len(blob) - start, path)
+    sig_fields, metadata, directory = _check_header(header, len(blob) - start, path)
 
     # The one copy of the payload: every tensor is a view of its own byte
     # range, so loaded arrays are writable and share no memory.
     payload = bytearray(memoryview(blob)[start:])
     per_target: dict[TargetId, dict[str, np.ndarray]] = {}
     head: dict[str, np.ndarray] = {}
-    for name, role, target, shape, offset in directory:
+    for role, target, shape, offset in directory:
         arr = np.frombuffer(payload, dtype="<f8", count=math.prod(shape),
                             offset=offset).reshape(shape)
-        if not np.isfinite(arr).all():
-            raise NumericError(f"tensor {name} contains non-finite values")
         (head if target is None else per_target.setdefault(target, {}))[role] = arr
     for tid, parts in per_target.items():
         if len(parts) != 3:  # roles are unique per target, so B, E and A
             raise CorruptionError(f"{path}: incomplete factors for target {tid}")
-    # Every tensor is finite by now, so a failed check here means the
-    # header's shapes or targets do not fit together.
+    # The constructors check the signature's range, the tensors' contents
+    # and how shapes and targets fit together.
     try:
+        signature = ModelSignature(**sig_fields)
         adapters = {tid: SvdLoraAdapter(target=tid, **parts)
                     for tid, parts in per_target.items()}
         return AdapterSet(signature=signature, adapters=adapters,
                           head_w=head.get("head_w"), head_b=head.get("head_b"),
                           metadata=metadata)
+    except NumericError:
+        raise
     except ToolkitError as exc:
-        raise CorruptionError(f"{path}: inconsistent tensors: {exc}") from exc
+        raise CorruptionError(f"{path}: inconsistent contents: {exc}") from exc
 
 
 # --- merge reports --------------------------------------------------------

@@ -9,6 +9,7 @@ accuracy, and that checkpoint is what the run returns.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -39,6 +40,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ParameterError(f"{f.name} must be finite, got {value}")
         if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 1:
             raise ParameterError("learning rate, batch size and epochs must be positive")
         if self.rank < 1 or self.init_std <= 0:

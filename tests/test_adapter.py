@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from svdlora import adapter as ad
-from svdlora.errors import DimensionError, ModelError, ParameterError
+from svdlora.errors import DimensionError, ModelError, NumericError, ParameterError
 from svdlora.linalg import SvdFactors
 
 
@@ -198,6 +198,29 @@ class TestAdapterSet:
         with pytest.raises(DimensionError):
             ad.AdapterSet(signature=sig, adapters={},
                           head_w=np.zeros((4, 3)), head_b=np.zeros(3))
+
+    @pytest.mark.parametrize("role", ["B", "E", "A"])
+    def test_non_finite_factor_named(self, role):
+        a = random_adapter(0)
+        factors = {"B": a.B, "E": a.E, "A": a.A}
+        factors[role] = factors[role].copy()
+        factors[role].flat[-1] = np.nan
+        with pytest.raises(NumericError, match=f"tensor layer1.V.{role} contains non-finite"):
+            ad.SvdLoraAdapter(target=ad.TargetId(1, "V"), **factors)
+
+    @pytest.mark.parametrize("head_w, head_b, name", [
+        (np.full((8, 2), np.inf), np.zeros(2), "head_w"),
+        (np.zeros((8, 2)), np.array([0.0, np.inf]), "head_b"),
+    ], ids=["head_w", "head_b"])
+    def test_non_finite_head_named(self, head_w, head_b, name):
+        with pytest.raises(NumericError, match=f"tensor {name} contains non-finite"):
+            ad.AdapterSet(signature=ad.ModelSignature(8, 2, "x"), adapters={},
+                          head_w=head_w, head_b=head_b)
+
+    @pytest.mark.parametrize("embed_dim, num_layers", [(0, 1), (8, 0), (-5, 0)])
+    def test_signature_range(self, embed_dim, num_layers):
+        with pytest.raises(ParameterError, match="must be positive"):
+            ad.ModelSignature(embed_dim, num_layers, "x")
 
     def test_digest_changes_with_content(self):
         s1 = make_set([random_adapter(1)])

@@ -291,6 +291,12 @@ class TestUnfitFiles:
             rewrite_header(good, dst, lambda h: h["metadata"].__setitem__(key, value))
         return make
 
+    @staticmethod
+    def _non_positive_signature(good, dst):
+        """No tensors, signed with a negative embed_dim and zero layers."""
+        rewrite_header(good, dst, lambda h: h.update(tensors=[], model_signature=dict(
+            h["model_signature"], embed_dim=-5, num_layers=0)))
+
     TASK = {"eval-embedded", "eval-head"}  # the commands that read task metadata
 
     @pytest.mark.parametrize("make, reads_unfit", [
@@ -305,9 +311,10 @@ class TestUnfitFiles:
         (_metadata("seq_len", str(10**17)), TASK),
         (_metadata("seq_len", str(10**30)), TASK),
         (_metadata("components", str(10**17)), TASK),
+        (_non_positive_signature, {"inspect", "merge", "eval", "eval-embedded", "eval-head"}),
     ], ids=["adapter-shape", "components-x", "family-seed-y", "separation-nan",
             "noise-inf", "seq-len-huge", "seq-len-beyond-numpy", "seq-len-beyond-dims",
-            "components-beyond-numpy"])
+            "components-beyond-numpy", "non-positive-signature"])
     def test_commands_fail_cleanly(self, workdir, tmp_path, capsys, make, reads_unfit):
         good, bad = workdir / "a.mlgo", tmp_path / "bad.mlgo"
         make(good, bad)

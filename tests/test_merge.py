@@ -278,6 +278,11 @@ class TestMergeConfig:
         with pytest.raises(ParameterError):
             mg.MergeConfig(threshold_v=v)
 
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -float("inf")])
+    def test_lambda_domain(self, lam):
+        with pytest.raises(ParameterError, match="lambda must be finite"):
+            mg.MergeConfig(method=mg.MergeMethod.TASK_ARITHMETIC, lam=lam)
+
     def test_lambda_only_with_task_arithmetic(self):
         for method in (mg.MergeMethod.MED_LEGO, mg.MergeMethod.PRE_MERGE_AVERAGE):
             with pytest.raises(ParameterError, match="lambda"):

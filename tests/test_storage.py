@@ -11,6 +11,8 @@ from svdlora.adapter import (AdapterSet, ModelSignature, SvdLoraAdapter,
 from svdlora.errors import CorruptionError, FormatError, NumericError
 from svdlora.merge import MergeConfig, MergeReport, TargetRecord
 
+DUP = "\x00"
+
 
 def build_set(seed=0, d=8, layers=2, rank=3, classes=4, with_head=True):
     rng = np.random.default_rng(seed)
@@ -163,7 +165,8 @@ class TestCorruption:
 
     def _rewrite_header(self, saved, mutate):
         """Rewrite the header with ``mutate``; bytes it returns are appended
-        to the payload."""
+        to the payload. A key ending in ``DUP`` is written without it, so
+        that an object can repeat a key."""
         blob = saved.read_bytes()
         magic, version, header_len = struct.unpack_from("<4sIQ", blob)
         header = json.loads(blob[16:16 + header_len].decode())
@@ -171,7 +174,7 @@ class TestCorruption:
         extra = mutate(header)
         if isinstance(extra, bytes):
             payload += extra
-        raw = json.dumps(header).encode()
+        raw = json.dumps(header).replace(r'\u0000"', '"').encode()
         raw += b" " * ((-len(raw)) % 8)
         saved.write_bytes(struct.pack("<4sIQ", magic, version, len(raw)) + raw + payload)
 
@@ -251,6 +254,11 @@ class TestCorruption:
     def _set_signature(field, value):
         return lambda header: header["model_signature"].__setitem__(field, value)
 
+    @staticmethod
+    def _repeat_tensors_headless(header):
+        header["tensors" + DUP] = [
+            e for e in header["tensors"] if e["target"] is not None]
+
     @pytest.mark.parametrize("mutate, match", [
         (_negate_first_shape, "negative dimension"),
         (_retarget_layer0_q("layer-1.Q"), "bad target"),
@@ -279,13 +287,22 @@ class TestCorruption:
         (_set_signature("num_layers", 2.0), "malformed header"),
         (_set_signature("config_digest", 5), "malformed header"),
         (_set_signature("embed_dim", 16), r"layer0\.Q has shape \(8, 8\)"),
+        (_repeat_tensors_headless, "repeated key"),
+        (lambda header: header["tensors"][0].__setitem__(
+            "offset" + DUP, header["tensors"][0]["offset"]), "repeated key"),
+        (_set_signature("embed_dim" + DUP, 8), "repeated key"),
+        (lambda header: header.update(
+            tensors=[], model_signature=dict(header["model_signature"], embed_dim=-5,
+                                             num_layers=0)), "must be positive"),
     ], ids=["negative-shape", "negative-layer", "layer-out-of-range",
             "head-bias-shape", "missing-target", "non-canonical-target", "head-with-target",
             "extra-entry-key", "extra-header-key", "empty-shape-beyond-numpy",
             "seventy-dims", "tensors-null", "tensors-number",
             "tensors-bool", "duplicate-name", "duplicate-role", "duplicate-head-role",
             "metadata-int", "metadata-pairs", "embed-dim-string", "embed-dim-bool",
-            "num-layers-float", "digest-int", "adapter-shape-vs-signature"])
+            "num-layers-float", "digest-int", "adapter-shape-vs-signature",
+            "repeated-tensors", "repeated-offset", "repeated-embed-dim",
+            "non-positive-signature"])
     def test_inconsistent_header(self, saved, mutate, match):
         self._rewrite_header(saved, mutate)
         with pytest.raises(CorruptionError, match=match):
@@ -353,6 +370,36 @@ class TestCorruption:
                          float("inf"))
         saved.write_bytes(bytes(blob))
         with pytest.raises(NumericError, match="tensor layer0.Q.E contains non-finite"):
+            storage.load_adapter_set(saved)
+
+    def _poison(self, saved, role):
+        """Write infinity into the first element of the first ``role`` tensor."""
+        blob = bytearray(saved.read_bytes())
+        _, _, header_len = struct.unpack_from("<4sIQ", blob)
+        entry = next(e for e in json.loads(blob[16:16 + header_len])["tensors"]
+                     if e["role"] == role)
+        struct.pack_into("<d", blob, 16 + header_len + entry["offset"], float("inf"))
+        saved.write_bytes(bytes(blob))
+
+    @pytest.mark.parametrize("role", ["head_w", "head_b"])
+    def test_non_finite_head_names_it(self, saved, role):
+        self._poison(saved, role)
+        with pytest.raises(NumericError, match=f"tensor {role} contains non-finite"):
+            storage.load_adapter_set(saved)
+
+    def test_first_failed_check_wins(self, saved):
+        """Adapters are checked before the set: a non-finite factor beats a
+        misshapen head, and an adapter unfit for the signature beats a
+        non-finite head."""
+        original = saved.read_bytes()
+        self._poison(saved, "B")
+        self._rewrite_header(saved, self._head_bias_as_row)
+        with pytest.raises(NumericError, match="tensor layer0.Q.B"):
+            storage.load_adapter_set(saved)
+        saved.write_bytes(original)
+        self._poison(saved, "head_w")
+        self._rewrite_header(saved, self._set_signature("embed_dim", 16))
+        with pytest.raises(CorruptionError, match="layer0.Q has shape"):
             storage.load_adapter_set(saved)
 
     def test_incomplete_target(self, saved):

@@ -387,6 +387,10 @@ class TestConfig:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ParameterError):
             TrainConfig(rank=0)
+        for field in ("learning_rate", "reg_weight"):
+            for value in (float("nan"), float("inf")):
+                with pytest.raises(ParameterError, match=f"{field} must be finite"):
+                    TrainConfig(**{field: value})
 
     def test_digest_stable(self):
         assert TrainConfig(seed=1).digest() == TrainConfig(seed=1).digest()
