@@ -7,7 +7,8 @@ while training and are restored to an exact SVD by :func:`canonicalize`.
 :func:`svd_factors` is the only route from factors to SVD form: merging,
 task arithmetic, merge reports and ``inspect`` all go through it.
 :meth:`AdapterSet.tensors` is the only statement of a set's tensor order:
-files, digests, the training vector and its gradient all follow it.
+files, digests, the training vector and its gradient (a set built by
+:meth:`AdapterSet.on_flat`) all follow it.
 """
 
 from __future__ import annotations
@@ -249,21 +250,18 @@ class AdapterSet:
             yield "head_w", None, self.head_w
             yield "head_b", None, self.head_b
 
-    def views(self, flat: np.ndarray):
-        """:meth:`tensors`, with each array replaced by the next consecutive
-        view into the 1-D vector ``flat``, which must hold exactly as many
-        elements as the set."""
-        offset = 0
-        for role, target, arr in self.tensors():
-            yield role, target, flat[offset:offset + arr.size].reshape(arr.shape)
+    def on_flat(self, flat: np.ndarray) -> "AdapterSet":
+        """The same set with every tensor replaced by the next consecutive
+        view into the 1-D vector ``flat``, in :meth:`tensors` order, so
+        in-place updates of ``flat`` update the set. ``flat`` must hold
+        exactly as many elements as the set."""
+        blocks, offset = [], 0
+        for _, _, arr in self.tensors():
+            blocks.append(flat[offset:offset + arr.size].reshape(arr.shape))
             offset += arr.size
         if offset != flat.size:
             raise DimensionError(f"flat vector has {flat.size} elements, the set {offset}")
-
-    def on_flat(self, flat: np.ndarray) -> "AdapterSet":
-        """The same set with every tensor a view into ``flat`` (see
-        :meth:`views`), so in-place updates of ``flat`` update the set."""
-        blocks = iter([view for _, _, view in self.views(flat)])
+        blocks = iter(blocks)
         adapters = {t: SvdLoraAdapter(t, next(blocks), next(blocks), next(blocks))
                     for t in self.sorted_targets()}
         return AdapterSet(self.signature, adapters, next(blocks, None),

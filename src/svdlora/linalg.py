@@ -14,6 +14,7 @@ starting basis, and a QR completes U where a singular value is exactly zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,7 @@ _JACOBI_MAX_SWEEPS = 60
 # Largest rotation tangent the simultaneous polish applies; the second-order
 # term it skips is at most n * t**2 per entry.
 _POLISH_MAX_TANGENT = 1e-8
+_MAX_EXP = np.finfo(np.float64).maxexp  # finite doubles are below 2**_MAX_EXP
 
 
 def as_matrix(a, name: str = "matrix", ndim: int = 2) -> np.ndarray:
@@ -173,7 +175,11 @@ def svd(m: np.ndarray) -> SvdFactors:
     rotation. Otherwise the columns are first rotated by the eigenvectors of
     ``m.T @ m`` in descending order (``v = V0``, ``work = m @ V0``), and the
     steps then polish what the squared problem left inexact, which keeps
-    Jacobi's accuracy on small singular values. A step takes every failing
+    Jacobi's accuracy on small singular values. All of this runs on the
+    input scaled by a power of two to a largest entry in [0.5, 1), so the
+    squares cannot overflow, and only components below ~1e-154 of the
+    largest, far under its rounding error, underflow to zero; singular values
+    too large for float64 raise NumericError. A step takes every failing
     pair's rotation tangent from the same Gram matrix. If all of them are at
     most ``_POLISH_MAX_TANGENT``, it applies them at once as ``I + T`` (the
     usual case: the warm start leaves tangents near 1e-10). Otherwise, as on
@@ -186,6 +192,10 @@ def svd(m: np.ndarray) -> SvdFactors:
         f = svd(m.T)
         return SvdFactors(U=f.V, S=f.S, V=f.U)
 
+    # The Gram products square the entries, so work on m / 2**exp, whose
+    # largest entry lies in [0.5, 1); a power-of-two scale is exact.
+    exp = math.frexp(np.abs(m).max())[1]
+    m = np.ldexp(m, -exp)
     n = m.shape[1]
     gram = m.T @ m
     rel = _relative_gram(gram)
@@ -220,6 +230,8 @@ def svd(m: np.ndarray) -> SvdFactors:
         residual = float(rel.max())
 
     norms = np.sqrt(np.einsum("ij,ij->j", work, work))
+    if math.frexp(norms.max())[1] + exp > _MAX_EXP:
+        raise NumericError("singular values overflow float64")
     order = np.argsort(-norms, kind="stable")
     norms = norms[order]
     u = work[:, order]
@@ -231,7 +243,7 @@ def svd(m: np.ndarray) -> SvdFactors:
         # columns span the live ones are orthogonal to them.
         q = np.linalg.qr(np.hstack([u[:, :live], np.eye(m.shape[0])]))[0]
         u[:, live:] = q[:, live:n]
-    return SvdFactors(U=u, S=norms, V=v)
+    return SvdFactors(U=u, S=np.ldexp(norms, exp), V=v)
 
 
 def check_cut(v: float, max_rank: int | None = None) -> None:

@@ -12,8 +12,8 @@ to (n*seq_len, d), so every projection, the adapter factors and both MLP
 matmuls are single 2-D GEMMs, and only the attention scores and ``p @ v``
 stay batched (n, seq_len, .) matmuls. The backward pass computes no gradient
 with respect to the first layer's input, which is data, and writes every
-gradient block in place into one flat vector laid out like the adapter set's
-tensors, which is the vector the optimizer steps.
+gradient in place into an adapter set of the trained set's layout; in
+training its tensors are views into the vector the optimizer steps.
 """
 
 from __future__ import annotations
@@ -195,41 +195,19 @@ def orthogonality_penalty(adapters: AdapterSet) -> float:
     return _penalty(_gram_residuals(adapters))
 
 
-class GradSet:
-    """Gradients for every trainable block of ``params``, plus the
-    orthogonality penalty of the factors they were taken at. ``adapters[tid]
-    ["B"|"E"|"A"]``, ``head_w`` and ``head_b`` are views into ``flat``, one
-    vector laid out like :meth:`AdapterSet.tensors`."""
-
-    def __init__(self, params: AdapterSet):
-        self.flat = np.empty(sum(arr.size for _, _, arr in params.tensors()))
-        self.adapters: dict[TargetId, dict[str, np.ndarray]] = {}
-        self.head_w: np.ndarray | None = None
-        self.head_b: np.ndarray | None = None
-        for role, target, view in params.views(self.flat):
-            if target is None:
-                setattr(self, role, view)
-            else:
-                self.adapters.setdefault(target, {})[role] = view
-        self.ortho_penalty: float = 0.0
-
-
 def backward(model: TinyModel, adapters: AdapterSet, cache: dict,
              dlogits: np.ndarray, reg_weight: float,
-             grads: GradSet | None = None) -> GradSet:
-    """Exact reverse-mode gradients through the cached forward pass.
+             grads: AdapterSet) -> float:
+    """Exact reverse-mode gradients through the cached forward pass, written
+    in place into ``grads``, a set in ``adapters``' layout whose every
+    tensor is overwritten; returns the orthogonality penalty.
 
     Backbone weights are frozen: the pass propagates through them but never
     accumulates gradients for them, and it stops at the first layer's input,
     which is data. The orthogonality penalty contributes 4*B(B'B - I) and
-    4*(AA' - I)A scaled by ``reg_weight``; its value is returned alongside,
-    computed from the same Gram matrices.
-
-    ``grads``, a :class:`GradSet` of ``adapters``' layout, is overwritten
-    and returned; without it a new one is allocated.
+    4*(AA' - I)A scaled by ``reg_weight``; its value comes from the same
+    Gram matrices.
     """
-    if grads is None:
-        grads = GradSet(adapters)  # uninitialized: the passes below write every block
     head_w, _ = cache["head"]
     np.matmul(cache["pooled"].T, dlogits, out=grads.head_w)
     np.sum(dlogits, axis=0, out=grads.head_b)
@@ -274,22 +252,21 @@ def backward(model: TinyModel, adapters: AdapterSet, cache: dict,
                 dx_in += dproj @ w
             if ad is None:
                 continue
-            block = grads.adapters[ad.target]
+            g = grads.adapters[ad.target]
             dya = dproj @ ad.B
-            np.matmul(dproj.T, yb, out=block["B"])
-            np.sum(dya * ya, axis=0, out=block["E"])
+            np.matmul(dproj.T, yb, out=g.B)
+            np.sum(dya * ya, axis=0, out=g.E)
             dya *= ad.E
-            np.matmul(dya.T, x, out=block["A"])
+            np.matmul(dya.T, x, out=g.A)
             if dx_in is not None:
                 dx_in += dya @ ad.A
         dx = dx_in
 
     residuals = _gram_residuals(adapters)
-    grads.ortho_penalty = _penalty(residuals)
     if reg_weight != 0.0:
         for tid, a in adapters.adapters.items():
             gram_b, gram_a = residuals[tid]
-            block = grads.adapters[tid]
-            block["B"] += 4.0 * reg_weight * (a.B @ gram_b)
-            block["A"] += 4.0 * reg_weight * (gram_a @ a.A)
-    return grads
+            g = grads.adapters[tid]  # frozen: add through the views
+            g.B[...] += 4.0 * reg_weight * (a.B @ gram_b)
+            g.A[...] += 4.0 * reg_weight * (gram_a @ a.A)
+    return _penalty(residuals)

@@ -161,7 +161,7 @@ def load_adapter_set(path) -> AdapterSet:
     """Load and fully validate an adapter file: FormatError for a bad magic
     or version, CorruptionError for a header that breaks the schema or for
     contents the constructors reject, except for their NumericError on a
-    non-finite value, which passes through as it is."""
+    non-finite value, which stays a NumericError and gains the path."""
     blob = Path(path).read_bytes()
     if len(blob) < _PREFIX.size:
         raise CorruptionError(f"{path}: file shorter than header prefix")
@@ -201,8 +201,8 @@ def load_adapter_set(path) -> AdapterSet:
         return AdapterSet(signature=signature, adapters=adapters,
                           head_w=head.get("head_w"), head_b=head.get("head_b"),
                           metadata=metadata)
-    except NumericError:
-        raise
+    except NumericError as exc:
+        raise NumericError(f"{path}: {exc}") from exc
     except ToolkitError as exc:
         raise CorruptionError(f"{path}: inconsistent contents: {exc}") from exc
 

@@ -17,8 +17,7 @@ import numpy as np
 from .adapter import AdapterSet, SvdLoraAdapter, TargetId, init_adapter
 from .data import Dataset, TaskSpec, generate_task
 from .errors import DataError, ParameterError, TrainingError
-from .model import (GradSet, TinyModel, backward, cross_entropy, forward,
-                    orthogonality_penalty)
+from .model import TinyModel, backward, cross_entropy, forward, orthogonality_penalty
 
 _HEAD_TAG = 6661
 _ADAPTER_TAG = 6662
@@ -76,13 +75,17 @@ def loss(logits: np.ndarray, labels: np.ndarray, adapters: AdapterSet,
 def gradients(model: TinyModel, adapters: AdapterSet,
               x: np.ndarray, labels: np.ndarray,
               reg_weight: float,
-              grads: GradSet | None = None) -> tuple[float, GradSet]:
-    """Loss value and exact gradients for every trainable block, written
-    into ``grads`` when given (see :func:`model.backward`)."""
+              grads: AdapterSet | None = None) -> tuple[float, AdapterSet]:
+    """Loss value and exact gradients for every trainable tensor, as a set
+    in ``adapters``' layout. They are written into ``grads`` when given
+    (see :func:`model.backward`), else into a new set on a fresh vector."""
+    if grads is None:  # zeros, not empty: the constructors reject non-finite values
+        n = sum(arr.size for _, _, arr in adapters.tensors())
+        grads = adapters.on_flat(np.zeros(n))
     logits, cache = forward(model, adapters, x, want_cache=True)
     ce, dlogits = cross_entropy(logits, labels)
-    grads = backward(model, adapters, cache, dlogits, reg_weight, grads)
-    return ce + reg_weight * grads.ortho_penalty, grads
+    penalty = backward(model, adapters, cache, dlogits, reg_weight, grads)
+    return ce + reg_weight * penalty, grads
 
 
 def init_adapter_set(model: TinyModel, num_classes: int,
@@ -181,11 +184,12 @@ def train_adapter(model: TinyModel, spec: TaskSpec, cfg: TrainConfig,
 
     # theta is a copy of every trainable tensor in AdapterSet.tensors()
     # order, so init is never written. The set is rebuilt on views into it,
-    # and every step's gradients are written into one GradSet of the same
-    # layout, so Adam's in-place updates of theta are the live set's updates.
+    # so Adam's in-place updates of theta are the live set's updates, and
+    # every step's gradients are written into a set on views into g.
     theta = np.concatenate([arr.ravel() for _, _, arr in current.tensors()])
     current = current.on_flat(theta)
-    grads = GradSet(current)
+    g = np.zeros_like(theta)
+    grads = current.on_flat(g)
     opt = _Adam(theta.size, cfg)
 
     x_train, y_train = dataset.train
@@ -210,7 +214,7 @@ def train_adapter(model: TinyModel, spec: TaskSpec, cfg: TrainConfig,
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, step {batches}"
                 )
-            opt.step(theta, grads.flat)
+            opt.step(theta, g)
             epoch_loss += value
             batches += 1
         train_losses.append(epoch_loss / batches)

@@ -103,7 +103,7 @@ def test_criterion_02_gradient_fidelity():
         for tid in aset.sorted_targets():
             a = aset.adapters[tid]
             g = grads.adapters[tid]
-            blocks += [(a.B, g["B"]), (a.E, g["E"]), (a.A, g["A"])]
+            blocks += [(a.B, g.B), (a.E, g.E), (a.A, g.A)]
         blocks += [(aset.head_w, grads.head_w), (aset.head_b, grads.head_b)]
         for arr, analytic in blocks:
             fd = _fd_gradient(value, arr)

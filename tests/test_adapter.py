@@ -136,6 +136,14 @@ class TestCanonicalize:
                                       E=s[:4] / (sb * sa), A=vt[:4] * sa[:, None])
             assert self._same_factors(ad.canonicalize(other), ad.canonicalize(a)), seed
 
+    def test_tiny_spectrum_kept(self):
+        rng = np.random.default_rng(17)
+        a = ad.SvdLoraAdapter(ad.TargetId(0, "Q"), rng.standard_normal((8, 2)),
+                              np.array([1e-170, 1e-171]), rng.standard_normal((2, 8)))
+        c = ad.canonicalize(a)
+        assert c.rank == 2 and np.all(c.E > 0)
+        np.testing.assert_allclose(ad.delta(c), ad.delta(a), rtol=0, atol=1e-182)
+
     def test_zero_adapter_keeps_rank_one(self):
         a = ad.init_adapter(6, 6, 3, seed=0)
         canon = ad.canonicalize(a)

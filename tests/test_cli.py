@@ -134,6 +134,15 @@ class TestMerge:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "m.mlgo").exists()
 
+    def test_huge_lambda_merges(self, workdir, tmp_path, capsys):
+        # the deltas' squares overflow float64; the SVD must not square them
+        out = tmp_path / "m.mlgo"
+        assert main(["merge", "--inputs", str(workdir / "a.mlgo"), str(workdir / "b.mlgo"),
+                     "--method", "task-arith", "--lambda", "1e300", "--out", str(out)]) == 0
+        assert "error:" not in capsys.readouterr().err
+        for a in load_adapter_set(out).adapters.values():
+            assert 1e290 < a.E[0] < 1e308
+
     def test_threshold_out_of_range_is_usage_error(self, workdir, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["merge", "--inputs", str(workdir / "a.mlgo"),
@@ -211,6 +220,15 @@ class TestInspect:
         out = capsys.readouterr().out
         for rec in json.loads(rep.read_text())["records"]:
             assert f"{rec['target']}: rank={rec['kept_rank']}" in out
+
+    def test_huge_singular_value_printed(self, workdir, tmp_path, capsys):
+        s = load_adapter_set(workdir / "a.mlgo")
+        s.adapters[TargetId(0, "Q")].E[0] = 1e200
+        path = tmp_path / "huge.mlgo"
+        save_adapter_set(s, path)
+        assert main(["inspect", "--input", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "layer0.Q: rank=4 spectrum=[1e+200," in out and "inf" not in out
 
     @staticmethod
     def _every_command_fails(bad, good, tmp_path, capsys):

@@ -57,6 +57,24 @@ class TestSvd:
         with pytest.raises(NumericError):
             linalg.svd(np.array([[np.inf, 1.0]]))
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1.0, 1e200, 1e300])
+    def test_extreme_scales_match_lapack(self, scale):
+        # the Gram product squares the entries: 1e300**2 overflows and
+        # 1e-170**2 underflows unless the input is scaled first
+        m = scale * np.random.default_rng(31).standard_normal((9, 5))
+        f = linalg.svd(m)
+        np.testing.assert_allclose(f.S, np.linalg.svd(m, compute_uv=False), rtol=1e-13)
+        f.validate()
+
+    def test_tiny_diagonal_kept(self):
+        assert np.array_equal(linalg.svd(np.diag([1e-170, 3e-200])).S, [1e-170, 3e-200])
+
+    def test_overflowing_singular_value_rejected(self):
+        # S[0] = 3e308 exceeds float64; the check runs before the scale is
+        # put back, so no overflow warning is emitted
+        with pytest.raises(NumericError, match="overflow"):
+            linalg.svd(np.full((2, 2), 1.5e308))
+
     def test_ill_conditioned_reconstruction(self):
         rng = np.random.default_rng(3)
         for exponent in (6, 12):  # condition numbers 1e6 and 1e12

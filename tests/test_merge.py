@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from svdlora import merge as mg
 from svdlora.adapter import (AdapterSet, ModelSignature, SvdLoraAdapter,
-                             TargetId, canonicalize, delta, init_adapter)
+                             TargetId, canonicalize, delta, init_adapter,
+                             svd_factors)
 from svdlora.errors import MergeError, ParameterError
 from svdlora.linalg import SvdFactors
 
@@ -295,3 +298,45 @@ class TestMergeConfig:
                     mg.MergeConfig(method=method, **cut)
             assert mg.MergeConfig(method=method).max_rank is None
         assert mg.MergeConfig(threshold_v=0.9, max_rank=1).max_rank == 1
+
+
+def _merge_with(method):
+    cfg = mg.MergeConfig(method=mg.MergeMethod(method))
+    return lambda adapters: mg.merge_target(adapters, cfg)
+
+
+class TestNoDenseDelta:
+    """Merging works on factors: no step allocates a d x d delta."""
+
+    D = 768
+    STEPS = {
+        "med-lego": _merge_with("med-lego"),
+        "task-arith": _merge_with("task-arith"),
+        "pre-avg": _merge_with("pre-avg"),
+        "canonicalize": lambda adapters: canonicalize(adapters[0]),
+        "svd_factors": lambda adapters: svd_factors(adapters[0].B, adapters[0].E,
+                                                    adapters[0].A),
+        "delta": lambda adapters: delta(adapters[0]),  # the dense control
+    }
+
+    @pytest.fixture(scope="class")
+    def inputs(self):
+        return [canonicalize(random_adapter(seed, d=self.D)) for seed in range(7)]
+
+    def _peak(self, step, inputs):
+        # tracemalloc sees numpy's allocations but not LAPACK's own
+        # workspace, which stays O(d * r) in a QR of a d x r factor
+        tracemalloc.start()
+        try:
+            self.STEPS[step](inputs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("step", ["med-lego", "task-arith", "pre-avg",
+                                      "canonicalize", "svd_factors"])
+    def test_peak_below_one_delta(self, inputs, step):
+        assert self._peak(step, inputs) < self.D * self.D * 8
+
+    def test_dense_delta_is_seen(self, inputs):
+        assert self._peak("delta", inputs) >= self.D * self.D * 8

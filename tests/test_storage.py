@@ -358,8 +358,9 @@ class TestCorruption:
         _, _, header_len = struct.unpack_from("<4sIQ", blob)
         struct.pack_into("<d", blob, 16 + header_len, float("nan"))
         saved.write_bytes(bytes(blob))
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError) as exc:
             storage.load_adapter_set(saved)
+        assert str(exc.value).startswith(f"{saved}: tensor layer0.Q.B contains non-finite")
 
     def test_nan_in_second_tensor_names_it(self, saved):
         blob = bytearray(saved.read_bytes())
@@ -369,8 +370,9 @@ class TestCorruption:
         struct.pack_into("<d", blob, 16 + header_len + second["offset"] + 8,
                          float("inf"))
         saved.write_bytes(bytes(blob))
-        with pytest.raises(NumericError, match="tensor layer0.Q.E contains non-finite"):
+        with pytest.raises(NumericError, match="tensor layer0.Q.E contains non-finite") as exc:
             storage.load_adapter_set(saved)
+        assert str(exc.value).startswith(f"{saved}: ")
 
     def _poison(self, saved, role):
         """Write infinity into the first element of the first ``role`` tensor."""
@@ -384,8 +386,9 @@ class TestCorruption:
     @pytest.mark.parametrize("role", ["head_w", "head_b"])
     def test_non_finite_head_names_it(self, saved, role):
         self._poison(saved, role)
-        with pytest.raises(NumericError, match=f"tensor {role} contains non-finite"):
+        with pytest.raises(NumericError, match=f"tensor {role} contains non-finite") as exc:
             storage.load_adapter_set(saved)
+        assert str(exc.value).startswith(f"{saved}: ")
 
     def test_first_failed_check_wins(self, saved):
         """Adapters are checked before the set: a non-finite factor beats a

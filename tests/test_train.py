@@ -5,8 +5,7 @@ from svdlora import train
 from svdlora.adapter import AdapterSet, SvdLoraAdapter
 from svdlora.data import TaskSpec, generate_task
 from svdlora.errors import DataError, ModelError, ParameterError, TrainingError
-from svdlora.model import (GradSet, TinyModel, cross_entropy, forward,
-                           orthogonality_penalty)
+from svdlora.model import TinyModel, cross_entropy, forward, orthogonality_penalty
 from svdlora.train import (TrainConfig, epochs_to_accuracy, evaluate,
                            gradients, init_adapter_set, loss, train_adapter)
 
@@ -32,6 +31,11 @@ def randomized_set(model, num_classes=3, seed=42, scale=0.3):
                       head_w=base.head_w + rng.standard_normal(base.head_w.shape),
                       head_b=rng.standard_normal(num_classes),
                       metadata={})
+
+
+def flatten(s):
+    """Every tensor of ``s`` in :meth:`AdapterSet.tensors` order, as one vector."""
+    return np.concatenate([arr.ravel() for _, _, arr in s.tensors()])
 
 
 class TestGenerateTask:
@@ -183,9 +187,8 @@ def check_gradients(model, aset, x, y, reg_weight, rtol=1e-4):
         return loss(logits, y, aset, reg_weight)
 
     failures = []
-    blocks = [(role, arr, getattr(grads, role)) if tid is None else
-              (f"{tid}.{role}", arr, grads.adapters[tid][role])
-              for role, tid, arr in aset.tensors()]
+    blocks = [(role if tid is None else f"{tid}.{role}", arr, analytic)
+              for (role, tid, arr), (_, _, analytic) in zip(aset.tensors(), grads.tensors())]
     for name, arr, analytic in blocks:
         fd = fd_gradient(objective, arr)  # perturbs arr in place, then restores
         rel = np.linalg.norm(analytic - fd) / max(
@@ -211,33 +214,35 @@ class TestGradients:
         aset = init_adapter_set(model, 3, cfg)
         ds = generate_task(TaskSpec(task_seed=6, num_classes=3))
         _, grads = gradients(model, aset, ds.train[0][:16], ds.train[1][:16], 0.0)
-        e_norm = sum(np.linalg.norm(g["E"]) for g in grads.adapters.values())
+        e_norm = sum(np.linalg.norm(g.E) for g in grads.adapters.values())
         assert e_norm > 0.0
 
     def test_blocks_are_views_into_flat(self, model):
-        # the vector Adam steps is the gradient blocks, in tensors() order
+        # the vector Adam steps is the gradient set's tensors, in tensors() order
         aset = randomized_set(model)
         ds = generate_task(TaskSpec(task_seed=6, num_classes=3))
-        _, grads = gradients(model, aset, ds.train[0][:8], ds.train[1][:8], 0.1)
-        blocks = [getattr(grads, role) if tid is None else grads.adapters[tid][role]
-                  for role, tid, _ in aset.tensors()]
+        flat = np.zeros(flatten(aset).size)
+        _, grads = gradients(model, aset, ds.train[0][:8], ds.train[1][:8], 0.1,
+                             aset.on_flat(flat))
+        blocks = [arr for _, _, arr in grads.tensors()]
         assert [b.shape for b in blocks] == [arr.shape for _, _, arr in aset.tensors()]
-        assert np.array_equal(grads.flat, np.concatenate([b.ravel() for b in blocks]))
-        assert all(np.shares_memory(grads.flat, b) for b in blocks)
+        assert np.array_equal(flat, flatten(grads))
+        assert all(np.shares_memory(flat, b) for b in blocks)
 
     def test_reused_gradset_is_overwritten(self, model):
-        # train_adapter writes every step into one GradSet; stale values
-        # must not leak into the next step
+        # train_adapter writes every step into one gradient set; stale
+        # values must not leak into the next step
         aset = randomized_set(model)
         ds = generate_task(TaskSpec(task_seed=6, num_classes=3))
         x, y = ds.train[0][:8], ds.train[1][:8]
         value, fresh = gradients(model, aset, x, y, 0.1)
-        reused = GradSet(aset)
-        reused.flat.fill(np.nan)
+        flat = np.zeros(flatten(aset).size)
+        reused = aset.on_flat(flat)
+        flat.fill(np.nan)
         value_again, out = gradients(model, aset, x, y, 0.1, reused)
         assert out is reused
-        assert value_again == value and out.ortho_penalty == fresh.ortho_penalty
-        assert np.array_equal(out.flat, fresh.flat)
+        assert value_again == value
+        assert np.array_equal(flat, flatten(fresh))
 
     def test_reg_gradient_zero_at_orthonormal_point(self, model):
         aset = randomized_set(model).canonicalized()
