@@ -40,6 +40,8 @@ class BenchSuite:
                  + self.held_out_tasks]
         if len(seeds) != len(set(seeds)):
             raise ParameterError("task seeds must be distinct across the suite")
+        if self.seeds_per_cell < 1:
+            raise ParameterError(f"seeds_per_cell must be >= 1, got {self.seeds_per_cell}")
 
     @property
     def run_seeds(self) -> range:

@@ -83,7 +83,7 @@ class TinyModel:
         ]
 
 
-def _check_signature(model: TinyModel, adapters: AdapterSet) -> None:
+def check_signature(model: TinyModel, adapters: AdapterSet) -> None:
     if adapters.signature != model.signature:
         raise ModelError(
             f"adapter set signature {adapters.signature} does not match "
@@ -112,7 +112,7 @@ def forward(model: TinyModel, adapters: AdapterSet, x: np.ndarray,
     ``head`` overrides the set's own classifier (used when evaluating a
     merged, head-less set with a task-specific head).
     """
-    _check_signature(model, adapters)
+    check_signature(model, adapters)
     if head is None:
         if adapters.head_w is None:
             raise ModelError("adapter set has no head and none was supplied")
@@ -174,25 +174,26 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
     return loss, grad
 
 
-def _gram_residuals(adapters: AdapterSet) -> dict[TargetId, tuple[np.ndarray, np.ndarray]]:
-    """(B'B - I, AA' - I) per target."""
-    out = {}
-    for tid, a in adapters.adapters.items():
-        eye = np.eye(a.rank)
-        out[tid] = (a.B.T @ a.B - eye, a.A @ a.A.T - eye)
-    return out
+def orthogonality_penalty(adapters: AdapterSet, grads: AdapterSet | None = None,
+                          reg_weight: float = 0.0) -> float:
+    """Sum over adapters of ||B'B - I||_F^2 + ||AA' - I||_F^2.
 
-
-def _penalty(residuals: dict[TargetId, tuple[np.ndarray, np.ndarray]]) -> float:
+    Given ``grads``, a set in ``adapters``' layout, the penalty's gradient
+    scaled by ``reg_weight``, 4*B(B'B - I) for B and 4*(AA' - I)A for A, is
+    also added in place to its factors, from the same Gram matrices.
+    """
     total = 0.0
-    for gb, ga in residuals.values():
-        total += float(np.sum(gb * gb) + np.sum(ga * ga))
+    for tid, a in adapters.adapters.items():
+        gram_b = a.B.T @ a.B
+        gram_a = a.A @ a.A.T
+        gram_b.flat[::a.rank + 1] -= 1.0
+        gram_a.flat[::a.rank + 1] -= 1.0
+        total += float(np.sum(gram_b * gram_b) + np.sum(gram_a * gram_a))
+        if grads is not None and reg_weight != 0.0:
+            g = grads.adapters[tid]  # frozen: add through the views
+            g.B[...] += 4.0 * reg_weight * (a.B @ gram_b)
+            g.A[...] += 4.0 * reg_weight * (gram_a @ a.A)
     return total
-
-
-def orthogonality_penalty(adapters: AdapterSet) -> float:
-    """Sum over adapters of ||B'B - I||_F^2 + ||AA' - I||_F^2."""
-    return _penalty(_gram_residuals(adapters))
 
 
 def backward(model: TinyModel, adapters: AdapterSet, cache: dict,
@@ -204,9 +205,8 @@ def backward(model: TinyModel, adapters: AdapterSet, cache: dict,
 
     Backbone weights are frozen: the pass propagates through them but never
     accumulates gradients for them, and it stops at the first layer's input,
-    which is data. The orthogonality penalty contributes 4*B(B'B - I) and
-    4*(AA' - I)A scaled by ``reg_weight``; its value comes from the same
-    Gram matrices.
+    which is data. ``orthogonality_penalty`` adds the penalty's gradient,
+    scaled by ``reg_weight``.
     """
     head_w, _ = cache["head"]
     np.matmul(cache["pooled"].T, dlogits, out=grads.head_w)
@@ -262,11 +262,4 @@ def backward(model: TinyModel, adapters: AdapterSet, cache: dict,
                 dx_in += dya @ ad.A
         dx = dx_in
 
-    residuals = _gram_residuals(adapters)
-    if reg_weight != 0.0:
-        for tid, a in adapters.adapters.items():
-            gram_b, gram_a = residuals[tid]
-            g = grads.adapters[tid]  # frozen: add through the views
-            g.B[...] += 4.0 * reg_weight * (a.B @ gram_b)
-            g.A[...] += 4.0 * reg_weight * (gram_a @ a.A)
-    return _penalty(residuals)
+    return orthogonality_penalty(adapters, grads, reg_weight)

@@ -4,8 +4,8 @@ Adapter sets use a small safetensors-style container (see FORMAT.md):
 magic "MLGO", a little-endian version and header length, a UTF-8 JSON
 header carrying the tensor directory, then raw little-endian float64
 payload in directory order, 8-byte aligned. Merge reports are canonical
-JSON (sorted keys, 17-significant-digit floats) so identical merges write
-byte-identical files.
+JSON (sorted keys, no whitespace, floats in Python's shortest round-trip
+form) so identical merges write byte-identical files.
 """
 
 from __future__ import annotations
@@ -29,26 +29,12 @@ _PREFIX = struct.Struct("<4sIQ")  # magic, version, header length
 # --- canonical JSON -------------------------------------------------------
 
 def canonical_json(obj) -> str:
-    """Deterministic JSON: sorted keys, floats at 17 significant digits."""
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise NumericError("cannot serialize non-finite float")
-        return format(obj, ".17g")
-    if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=True)
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(canonical_json(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        items = sorted(obj.items())
-        return "{" + ",".join(
-            json.dumps(str(k), ensure_ascii=True) + ":" + canonical_json(v)
-            for k, v in items
-        ) + "}"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+    """Deterministic JSON: sorted keys, no whitespace, floats in shortest
+    round-trip form."""
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    except ValueError:
+        raise NumericError("cannot serialize non-finite float") from None
 
 
 # --- adapter files --------------------------------------------------------

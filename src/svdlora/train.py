@@ -17,7 +17,8 @@ import numpy as np
 from .adapter import AdapterSet, SvdLoraAdapter, TargetId, init_adapter
 from .data import Dataset, TaskSpec, generate_task
 from .errors import DataError, ParameterError, TrainingError
-from .model import TinyModel, backward, cross_entropy, forward, orthogonality_penalty
+from .model import (TinyModel, backward, check_signature, cross_entropy, forward,
+                    orthogonality_penalty)
 
 _HEAD_TAG = 6661
 _ADAPTER_TAG = 6662
@@ -171,14 +172,16 @@ def train_adapter(model: TinyModel, spec: TaskSpec, cfg: TrainConfig,
                   dataset: Dataset | None = None) -> TrainResult:
     """Train adapters and head on one task; returns the best-val checkpoint.
 
-    ``init`` may carry adapters from a merged set to fine-tune from; it
-    never carries the head, which is always freshly initialized from the
-    run seed. Fully deterministic given (backbone seed, task seed, run seed).
+    ``init`` may carry adapters from a merged set to fine-tune from, made
+    for this model's backbone (``ModelError`` otherwise); it never carries
+    the head, which is always freshly initialized from the run seed. Fully
+    deterministic given (backbone seed, task seed, run seed).
     """
     if dataset is None:
         dataset = generate_task(spec)
     current = init_adapter_set(model, spec.num_classes, cfg, task_name=spec.label)
     if init is not None:
+        check_signature(model, init)
         current = replace(current, adapters=dict(init.adapters),
                           metadata=current.metadata | {"init": "merged"})
 

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from svdlora import merge as mg
 from svdlora.adapter import (AdapterSet, ModelSignature, SvdLoraAdapter,
@@ -340,3 +340,58 @@ class TestNoDenseDelta:
 
     def test_dense_delta_is_seen(self, inputs):
         assert self._peak("delta", inputs) >= self.D * self.D * 8
+
+
+class TestDenseOracle:
+    """Merging and canonical form against LAPACK on the dense deltas, for
+    d_m != d_n, input ranks summing past min(d_m, d_n), a zero component, and
+    re-factored twins (B·diag(g), E, diag(1/g)·A) of the same deltas."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 12), st.integers(3, 12), st.integers(2, 4),
+           st.integers(0, 2**32 - 1), st.data())
+    def test_routes_match_lapack(self, d_m, d_n, n, seed, data):
+        assume(d_m != d_n)
+        width = min(d_m, d_n)
+        ranks = [data.draw(st.integers(1, width - 1))]  # plus a zero component
+        ranks += [data.draw(st.integers(1, width)) for _ in range(n - 1)]
+        assume(sum(ranks) + 1 > width)
+        rng = np.random.default_rng(seed)
+        inputs, twins = [], []
+        for i, r in enumerate(ranks):
+            e = rng.standard_normal(r)
+            if i == 0:
+                e = np.append(e, 0.0)
+            a = SvdLoraAdapter(target=TargetId(0, "Q"), E=e,
+                               B=rng.standard_normal((d_m, len(e))),
+                               A=rng.standard_normal((len(e), d_n)))
+            g = rng.uniform(0.5, 2.0, len(e)) * rng.choice([-1.0, 1.0], len(e))
+            inputs.append(a)
+            twins.append(SvdLoraAdapter(target=a.target, B=a.B * g, E=e,
+                                        A=a.A / g[:, None]))
+            s_i = np.linalg.svd(delta(a), compute_uv=False)
+            assume(np.all(-np.diff(s_i[:r + 1]) > 1e-6 * s_i[0]))
+
+        mean = sum(delta(a) for a in inputs) / n
+        u, s, vt = np.linalg.svd(mean, full_matrices=False)
+        assume(np.all(np.abs(np.cumsum(s) / s.sum() - mg.DEFAULT_THRESHOLD) > 1e-9))
+        k = next(j for j in range(1, width + 1)
+                 if s[:j].sum() >= mg.DEFAULT_THRESHOLD * s.sum())  # brute force
+        assume(k == width or s[k - 1] - s[k] > 1e-6 * s[0])
+
+        arith = mg.MergeConfig(method=mg.MergeMethod.TASK_ARITHMETIC)
+        for family in (inputs, twins):
+            merged, rec = mg.merge_target(family, arith)
+            assert np.abs(delta(merged) - mean).max() <= 1e-10 * s[0]
+            assert np.abs(np.array(rec.spectrum) - s).max() <= 1e-10 * s[0]
+            merged, rec = mg.merge_target(family, mg.MergeConfig())
+            assert np.abs(np.array(rec.spectrum) - s).max() <= 1e-9 * s[0]
+            assert merged.rank == rec.kept_rank == k
+            cut = (u[:, :k] * s[:k]) @ vt[:k]
+            assert np.abs(delta(merged) - cut).max() <= 1e-9 * s[0]
+        for a, twin in zip(inputs, twins):
+            x, y = canonicalize(a), canonicalize(twin)
+            assert x.rank == y.rank
+            for name in ("B", "E", "A"):
+                np.testing.assert_allclose(getattr(x, name), getattr(y, name),
+                                           rtol=0, atol=1e-8)

@@ -416,10 +416,13 @@ class TestCorruption:
 
 class TestCanonicalJson:
     def test_sorted_keys_and_float_format(self):
-        text = storage.canonical_json({"b": 0.997, "a": [1, True, None]})
-        assert text.index('"a"') < text.index('"b"')
-        assert '"a":[1,true,null]' in text
-        assert json.loads(text)["b"] == 0.997
+        text = storage.canonical_json({"b": 0.1, "a": [1, True, None]})
+        assert text == '{"a":[1,true,null],"b":0.1}'  # shortest round-trip float
+
+    @pytest.mark.parametrize("v", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rejected(self, v):
+        with pytest.raises(NumericError, match="non-finite float"):
+            storage.canonical_json({"spectrum": [1.0, v]})
 
     def test_deterministic(self):
         obj = {"x": [0.1, 2, "s"], "y": {"k": 1e-17}}

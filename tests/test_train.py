@@ -348,6 +348,13 @@ class TestFinetune:
         assert runs[0].val_accs == runs[1].val_accs
         assert runs[0].adapter_set.digest() == runs[1].adapter_set.digest()
 
+    def test_init_from_another_backbone_rejected(self, model):
+        # forward refuses such a set; fine-tuning from it must not re-sign it
+        foreign = randomized_set(TinyModel(seed=8), seed=8)
+        spec = TaskSpec(task_seed=5, num_classes=2, separation=10.0)
+        with pytest.raises(ModelError, match="signature"):
+            train_adapter(model, spec, TrainConfig(seed=1, epochs=1), init=foreign)
+
     def test_checkpoint_is_a_snapshot(self, model):
         # the returned set is the best epoch's, not the last one's: a rerun
         # stopped at the best epoch ends on the same tensors
