@@ -23,7 +23,7 @@ from .errors import DimensionError, ModelError, ParameterError
 
 SLOTS = ("Q", "V")
 
-INIT_STD_DEFAULT = 0.02
+INIT_STD = 0.02  # std of the Gaussian factors of a fresh adapter and head
 
 
 @dataclass(frozen=True, order=True)
@@ -91,9 +91,8 @@ class SvdLoraAdapter:
 
 
 def init_adapter(d_m: int, d_n: int, r: int, seed: int,
-                 target: TargetId | None = None,
-                 std: float = INIT_STD_DEFAULT) -> SvdLoraAdapter:
-    """Fresh adapter: E all zero, B and A i.i.d. Gaussian(0, std^2).
+                 target: TargetId | None = None) -> SvdLoraAdapter:
+    """Fresh adapter: E all zero, B and A i.i.d. Gaussian(0, INIT_STD^2).
 
     The zero diagonal guarantees the initial delta is exactly zero, so the
     adapted forward pass starts identical to the frozen backbone.
@@ -102,8 +101,8 @@ def init_adapter(d_m: int, d_n: int, r: int, seed: int,
         raise ParameterError(f"rank must be positive, got {r}")
     _check_rank(r, d_m, d_n)  # before drawing (d_m + d_n) * r samples
     rng = np.random.default_rng(seed)
-    b = std * rng.standard_normal((d_m, r))
-    a = std * rng.standard_normal((r, d_n))
+    b = INIT_STD * rng.standard_normal((d_m, r))
+    a = INIT_STD * rng.standard_normal((r, d_n))
     return SvdLoraAdapter(
         target=target if target is not None else TargetId(0, "Q"),
         B=b, E=np.zeros(r), A=a,

@@ -125,6 +125,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gap_demo(args) -> int:
+    if args.seed < 0:
+        raise ParameterError(f"seed must be non-negative, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     base = init_adapter(16, 16, 4, seed=args.seed)
     def randomized():

@@ -37,6 +37,9 @@ class TaskSpec:
     name: str = ""
 
     def __post_init__(self):
+        if self.task_seed < 0 or (self.family_seed is not None and self.family_seed < 0):
+            raise ParameterError(f"task and family seeds must be non-negative, got "
+                                 f"{self.task_seed} and {self.family_seed}")
         if not (2 <= self.num_classes <= 8):
             raise ParameterError(f"num_classes must be in [2, 8], got {self.num_classes}")
         if min(self.seq_len, self.embed_dim, self.components) < 1:

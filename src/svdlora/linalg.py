@@ -62,21 +62,6 @@ class SvdFactors:
     def reconstruct(self) -> np.ndarray:
         return (self.U * self.S) @ self.V.T
 
-    def validate(self, atol: float = 1e-9) -> None:
-        k = len(self.S)
-        if self.U.shape[1] != k or self.V.shape[1] != k:
-            raise DimensionError(
-                f"inconsistent factor shapes {self.U.shape}, {len(self.S)}, {self.V.shape}"
-            )
-        if k > min(self.U.shape[0], self.V.shape[0]):
-            raise DimensionError("rank exceeds min(m, n)")
-        if np.any(self.S < 0) or np.any(np.diff(self.S) > 0):
-            raise NumericError("singular values must be non-negative and non-increasing")
-        for q, label in ((self.U, "U"), (self.V, "V")):
-            dev = np.linalg.norm(q.T @ q - np.eye(k))
-            if dev > atol:
-                raise NumericError(f"{label} columns not orthonormal (deviation {dev:.3e})")
-
 
 def _round_robin_rounds(n: int):
     """Tournament pairing: every unordered column pair exactly once per sweep,

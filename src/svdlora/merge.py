@@ -53,6 +53,8 @@ class MergeConfig:
     lam: float | None = None  # task-arithmetic scale; defaults to 1/N
 
     def __post_init__(self):
+        if not isinstance(self.method, MergeMethod):
+            raise ParameterError(f"unknown merge method {self.method!r}")
         linalg.check_cut(self.threshold_v, self.max_rank)
         if self.lam is not None and self.method is not MergeMethod.TASK_ARITHMETIC:
             raise ParameterError("lambda applies to task-arith only")
@@ -147,15 +149,13 @@ def merge_target(adapters: list[SvdLoraAdapter],
     if cfg.method is MergeMethod.PRE_MERGE_AVERAGE:
         merged = baseline_pre_merge(adapters)
         f = kept = svd_factors(merged.B, merged.E, merged.A)
-    elif cfg.method in (MergeMethod.MED_LEGO, MergeMethod.TASK_ARITHMETIC):
+    else:
         f = _stacked_svd(adapters, 1.0 / len(adapters) if cfg.lam is None else cfg.lam)
         if cfg.method is MergeMethod.MED_LEGO:
             kept = linalg.truncate(f, cfg.threshold_v, cfg.max_rank)
         else:
             kept = drop_zeros(f)
         merged = from_svd(target, kept)
-    else:
-        raise ParameterError(f"unknown merge method {cfg.method!r}")
     total = float(np.sum(f.S))
     record = TargetRecord(
         target=target,

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adapter import AdapterSet, ModelSignature, SvdLoraAdapter, TargetId
-from .errors import DataError, ModelError
+from .errors import DataError, ModelError, ParameterError
 
 _BACKBONE_TAG = 5551
 MLP_RATIO = 4  # hidden width of the MLP, in multiples of embed_dim
@@ -50,6 +50,8 @@ class TinyModel:
     """Immutable toy backbone standing in for a pre-trained model."""
 
     def __init__(self, embed_dim: int = 32, num_layers: int = 2, seed: int = 0):
+        if seed < 0:
+            raise ParameterError(f"backbone seed must be non-negative, got {seed}")
         self.embed_dim = embed_dim
         self.num_layers = num_layers
         self.hidden_dim = MLP_RATIO * embed_dim
@@ -197,16 +199,15 @@ def orthogonality_penalty(adapters: AdapterSet, grads: AdapterSet | None = None,
 
 
 def backward(model: TinyModel, adapters: AdapterSet, cache: dict,
-             dlogits: np.ndarray, reg_weight: float,
-             grads: AdapterSet) -> float:
-    """Exact reverse-mode gradients through the cached forward pass, written
-    in place into ``grads``, a set in ``adapters``' layout whose every
-    tensor is overwritten; returns the orthogonality penalty.
+             dlogits: np.ndarray, grads: AdapterSet) -> None:
+    """Exact reverse-mode gradients of the network through the cached
+    forward pass, written in place into ``grads``, a set in ``adapters``'
+    layout whose every tensor is overwritten.
 
     Backbone weights are frozen: the pass propagates through them but never
     accumulates gradients for them, and it stops at the first layer's input,
-    which is data. ``orthogonality_penalty`` adds the penalty's gradient,
-    scaled by ``reg_weight``.
+    which is data. The orthogonality penalty is not part of the network;
+    :func:`train.gradients` adds its gradient afterwards.
     """
     head_w, _ = cache["head"]
     np.matmul(cache["pooled"].T, dlogits, out=grads.head_w)
@@ -261,5 +262,3 @@ def backward(model: TinyModel, adapters: AdapterSet, cache: dict,
             if dx_in is not None:
                 dx_in += dya @ ad.A
         dx = dx_in
-
-    return orthogonality_penalty(adapters, grads, reg_weight)

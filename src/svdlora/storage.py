@@ -197,7 +197,3 @@ def load_adapter_set(path) -> AdapterSet:
 
 def save_merge_report(report: MergeReport, path) -> None:
     Path(path).write_text(canonical_json(report.as_dict()) + "\n", encoding="utf-8")
-
-
-def load_merge_report(path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))

@@ -11,10 +11,11 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field, fields, replace
+from typing import ClassVar
 
 import numpy as np
 
-from .adapter import AdapterSet, SvdLoraAdapter, TargetId, init_adapter
+from .adapter import INIT_STD, AdapterSet, SvdLoraAdapter, TargetId, init_adapter
 from .data import Dataset, TaskSpec, generate_task
 from .errors import DataError, ParameterError, TrainingError
 from .model import (TinyModel, backward, check_signature, cross_entropy, forward,
@@ -28,31 +29,39 @@ EVAL_CHUNK = 64  # samples per forward pass in evaluate
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """What a caller sets for one training run. The rest of the recipe is
+    fixed: class constants, read like fields (``cfg.batch_size``), and part
+    of :meth:`digest` as if they were fields, so config digests do not move."""
+
     learning_rate: float = 3e-4
     epochs: int = 100
-    batch_size: int = 32
     reg_weight: float = 0.1
     rank: int = 4
-    init_std: float = 0.02
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
+
+    batch_size: ClassVar[int] = 32
+    init_std: ClassVar[float] = INIT_STD
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    adam_eps: ClassVar[float] = 1e-8
+    _DIGEST_KEYS: ClassVar[tuple[str, ...]] = (
+        "learning_rate", "epochs", "batch_size", "reg_weight", "rank",
+        "init_std", "beta1", "beta2", "adam_eps", "seed")
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, float) and not math.isfinite(value):
                 raise ParameterError(f"{f.name} must be finite, got {value}")
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 1:
-            raise ParameterError("learning rate, batch size and epochs must be positive")
-        if self.rank < 1 or self.init_std <= 0:
-            raise ParameterError("rank and init std must be positive")
+        if self.learning_rate <= 0 or self.epochs < 1 or self.rank < 1:
+            raise ParameterError("learning rate, epochs and rank must be positive")
         if self.reg_weight < 0:
             raise ParameterError("regularizer weight must be non-negative")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be non-negative, got {self.seed}")
 
     def digest(self) -> str:
-        text = ",".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
+        text = ",".join(f"{k}={getattr(self, k)}" for k in self._DIGEST_KEYS)
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
@@ -77,15 +86,18 @@ def gradients(model: TinyModel, adapters: AdapterSet,
               x: np.ndarray, labels: np.ndarray,
               reg_weight: float,
               grads: AdapterSet | None = None) -> tuple[float, AdapterSet]:
-    """Loss value and exact gradients for every trainable tensor, as a set
-    in ``adapters``' layout. They are written into ``grads`` when given
-    (see :func:`model.backward`), else into a new set on a fresh vector."""
+    """The value of :func:`loss` and its exact gradients for every trainable
+    tensor, as a set in ``adapters``' layout. They are written into ``grads``
+    when given, else into a new set on a fresh vector: :func:`model.backward`
+    overwrites every tensor with the network's gradients, then
+    :func:`model.orthogonality_penalty` adds the regularizer's."""
     if grads is None:  # zeros, not empty: the constructors reject non-finite values
         n = sum(arr.size for _, _, arr in adapters.tensors())
         grads = adapters.on_flat(np.zeros(n))
     logits, cache = forward(model, adapters, x, want_cache=True)
     ce, dlogits = cross_entropy(logits, labels)
-    penalty = backward(model, adapters, cache, dlogits, reg_weight, grads)
+    backward(model, adapters, cache, dlogits, grads)
+    penalty = orthogonality_penalty(adapters, grads, reg_weight)
     return ce + reg_weight * penalty, grads
 
 
@@ -95,11 +107,10 @@ def init_adapter_set(model: TinyModel, num_classes: int,
     adapters: dict[TargetId, SvdLoraAdapter] = {}
     for tid in model.targets():
         seed = [_ADAPTER_TAG, cfg.seed, tid.layer, 0 if tid.slot == "Q" else 1]
-        a = init_adapter(model.embed_dim, model.embed_dim, cfg.rank,
-                         seed=seed, target=tid, std=cfg.init_std)
-        adapters[tid] = a
+        adapters[tid] = init_adapter(model.embed_dim, model.embed_dim, cfg.rank,
+                                     seed=seed, target=tid)
     head_rng = np.random.default_rng([_HEAD_TAG, cfg.seed])
-    head_w = cfg.init_std * head_rng.standard_normal((model.embed_dim, num_classes))
+    head_w = INIT_STD * head_rng.standard_normal((model.embed_dim, num_classes))
     return AdapterSet(
         signature=model.signature,
         adapters=adapters,

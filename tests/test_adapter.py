@@ -6,6 +6,8 @@ from svdlora import adapter as ad
 from svdlora.errors import DimensionError, ModelError, NumericError, ParameterError
 from svdlora.linalg import SvdFactors
 
+from conftest import validate_svd
+
 
 def naive_delta(a):
     """Triple product via explicit loops, the independent oracle."""
@@ -98,7 +100,7 @@ class TestCanonicalize:
     def test_trained_adapter_delta_preserved(self):
         a = random_adapter(12)
         canon = ad.canonicalize(a)
-        SvdFactors(U=canon.B, S=canon.E, V=canon.A.T).validate(atol=1e-8)
+        validate_svd(SvdFactors(U=canon.B, S=canon.E, V=canon.A.T), atol=1e-8)
         ref = ad.delta(a)
         err = np.linalg.norm(ad.delta(canon) - ref)
         assert err <= 1e-9 * max(1.0, np.linalg.norm(ref))

@@ -9,7 +9,7 @@ from svdlora.adapter import (AdapterSet, ModelSignature, TargetId, delta,
 from svdlora.cli import build_parser, main
 from svdlora.data import TaskSpec, generate_task
 from svdlora.model import TinyModel
-from svdlora.storage import load_adapter_set, load_merge_report, save_adapter_set
+from svdlora.storage import load_adapter_set, save_adapter_set
 from svdlora.train import evaluate
 
 EASY = ["--task-seed", "5", "--classes", "2", "--separation", "8.0",
@@ -100,7 +100,7 @@ class TestMerge:
         report_path = tmp_path / "rep.json"
         main(["merge", "--inputs", str(workdir / "a.mlgo"), str(workdir / "b.mlgo"),
               "--out", str(tmp_path / "m.mlgo"), "--report", str(report_path)])
-        report = load_merge_report(report_path)
+        report = json.loads(report_path.read_text())
         assert report["config"]["method"] == "med-lego"
         for rec in report["records"]:
             assert rec["retained_mass"] >= 0.997
@@ -113,7 +113,7 @@ class TestMerge:
                          "--out", str(out), "--report", str(rep)]) == 0
             merged = load_adapter_set(out)
             assert merged.adapters
-            report = load_merge_report(rep)
+            report = json.loads(rep.read_text())
             assert report["config"]["method"] == method
             for rec in report["records"]:
                 tid = next(t for t in merged.adapters if str(t) == rec["target"])
@@ -200,6 +200,37 @@ class TestGapDemo:
         g1 = capsys.readouterr().out
         main(["gap-demo", "--seed", "2"])
         assert capsys.readouterr().out != g1
+
+
+class TestNegativeSeed:
+    """Every seed a command takes is checked by the type that owns it, so a
+    negative one is one ``error:`` line, not numpy's traceback."""
+
+    @staticmethod
+    def _family_seed_file(workdir, tmp_path):
+        bad = tmp_path / "bad.mlgo"
+        rewrite_header(workdir / "a.mlgo", bad,
+                       lambda h: h["metadata"].__setitem__("family_seed", "-3"))
+        return ["eval", "--adapters", str(bad), "--task-seed", "5"]
+
+    @pytest.mark.parametrize("argv", [
+        lambda w, t: ["train", "--seed", "-1", "--out", str(t / "x.mlgo")],
+        lambda w, t: ["train", "--task-seed", "-1", "--out", str(t / "x.mlgo")],
+        lambda w, t: ["train", "--backbone-seed", "-1", "--out", str(t / "x.mlgo")],
+        lambda w, t: ["eval", "--adapters", str(w / "a.mlgo"), "--task-seed", "-5"],
+        lambda w, t: ["eval", "--adapters", str(w / "a.mlgo"), "--task-seed", "5",
+                      "--backbone-seed", "-1"],
+        lambda w, t: ["gap-demo", "--seed", "-1"],
+        _family_seed_file,
+    ], ids=["train-seed", "train-task-seed", "train-backbone-seed", "eval-task-seed",
+            "eval-backbone-seed", "gap-demo-seed", "eval-metadata-family-seed"])
+    def test_exits_with_one_error_line(self, workdir, tmp_path, capsys, argv):
+        code = main(argv(workdir, tmp_path))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "non-negative" in captured.err
+        assert not list(tmp_path.glob("x.mlgo*"))
 
 
 class TestInspect:

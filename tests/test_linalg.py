@@ -6,6 +6,8 @@ from svdlora import linalg
 from svdlora.adapter import svd_factors
 from svdlora.errors import ConvergenceError, NumericError, ParameterError
 
+from conftest import validate_svd
+
 
 def stacked_core(rng, graded=False, d=128, r=4, n=7):
     """Factors of n stacked rank-r deltas at width d, scaled 1/n as a merge
@@ -23,14 +25,14 @@ class TestSvd:
     def test_zero_matrix(self):
         f = linalg.svd(np.zeros((4, 3)))
         assert np.array_equal(f.S, [0.0, 0.0, 0.0])
-        f.validate()
+        validate_svd(f)
 
     def test_zero_columns_complete_an_orthonormal_u(self):
         m = np.random.default_rng(5).standard_normal((6, 4))
         m[:, [1, 3]] = 0.0
         f = linalg.svd(m)
         assert np.all(f.S[:2] > 0) and np.array_equal(f.S[2:], [0.0, 0.0])
-        f.validate()
+        validate_svd(f)
         np.testing.assert_allclose(f.reconstruct(), m, atol=1e-12)
 
     def test_signed_diagonal(self):
@@ -64,7 +66,7 @@ class TestSvd:
         m = scale * np.random.default_rng(31).standard_normal((9, 5))
         f = linalg.svd(m)
         np.testing.assert_allclose(f.S, np.linalg.svd(m, compute_uv=False), rtol=1e-13)
-        f.validate()
+        validate_svd(f)
 
     def test_tiny_diagonal_kept(self):
         assert np.array_equal(linalg.svd(np.diag([1e-170, 3e-200])).S, [1e-170, 3e-200])
@@ -85,7 +87,7 @@ class TestSvd:
             f = linalg.svd(m)
             err = np.linalg.norm(f.reconstruct() - m) / np.linalg.norm(m)
             assert err <= 1e-9
-            f.validate()
+            validate_svd(f)
 
     def test_converges_in_few_sweeps(self, monkeypatch):
         # Jacobi only polishes the Gram-eigenvector start; from the identity,
@@ -99,7 +101,7 @@ class TestSvd:
         m = rng.standard_normal((28, 28))
         f = linalg.svd(m)
         assert np.linalg.norm(f.reconstruct() - m) <= 1e-12 * np.linalg.norm(m)
-        f.validate()
+        validate_svd(f)
 
     def test_polish_without_sweep(self, monkeypatch):
         # the warm start leaves the small components of a graded merge core
@@ -112,7 +114,7 @@ class TestSvd:
         f = svd_factors(b, e, a)
         expected = np.linalg.svd((b * e) @ a, compute_uv=False)[:len(e)]
         np.testing.assert_allclose(f.S, expected, rtol=1e-12, atol=0)
-        f.validate()
+        validate_svd(f)
 
     def test_clustered_spectrum_falls_back_to_sweep(self, monkeypatch):
         # the two smallest singular values are 1e-9 apart: the squared
@@ -131,7 +133,7 @@ class TestSvd:
         assert sweeps
         np.testing.assert_allclose(f.S, np.linalg.svd(m, compute_uv=False),
                                    rtol=1e-12, atol=0)
-        f.validate()
+        validate_svd(f)
 
     def test_polish_counts_toward_the_cap(self, monkeypatch):
         monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 0)

@@ -11,6 +11,8 @@ from svdlora.adapter import (AdapterSet, ModelSignature, SvdLoraAdapter,
 from svdlora.errors import MergeError, ParameterError
 from svdlora.linalg import SvdFactors
 
+from conftest import validate_svd
+
 
 def random_adapter(seed, d=8, r=4, target=TargetId(0, "Q")):
     rng = np.random.default_rng(seed)
@@ -244,7 +246,7 @@ class TestTaskArithmetic:
         assert out.metadata["method"] == "task-arith"
         for t, a in out.adapters.items():
             want = lam * sum(delta(s.adapters[t]) for s in sets)
-            SvdFactors(U=a.B, S=a.E, V=a.A.T).validate(atol=1e-8)
+            validate_svd(SvdFactors(U=a.B, S=a.E, V=a.A.T), atol=1e-8)
             assert a.rank <= min(sum(s.adapters[t].rank for s in sets), *a.shape)
             assert np.linalg.norm(delta(a) - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -344,8 +346,10 @@ class TestNoDenseDelta:
 
 class TestDenseOracle:
     """Merging and canonical form against LAPACK on the dense deltas, for
-    d_m != d_n, input ranks summing past min(d_m, d_n), a zero component, and
-    re-factored twins (B·diag(g), E, diag(1/g)·A) of the same deltas."""
+    d_m != d_n, input ranks summing past min(d_m, d_n), a zero component,
+    re-factored twins (B·diag(g), E, diag(1/g)·A) of the same deltas, the
+    inputs in a drawn order, a drawn lambda != 1/N, a drawn max_rank cap,
+    and pre-avg of equal-rank inputs against their dense factor average."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(3, 12), st.integers(3, 12), st.integers(2, 4),
@@ -356,18 +360,23 @@ class TestDenseOracle:
         ranks = [data.draw(st.integers(1, width - 1))]  # plus a zero component
         ranks += [data.draw(st.integers(1, width)) for _ in range(n - 1)]
         assume(sum(ranks) + 1 > width)
+        order = data.draw(st.permutations(range(n)))
+        lam = data.draw(st.floats(-4.0, 4.0).filter(
+            lambda x: abs(x) >= 0.05 and abs(x - 1.0 / n) >= 0.05))
+        cap = data.draw(st.integers(1, width))
         rng = np.random.default_rng(seed)
+
+        def adapter(e):
+            return SvdLoraAdapter(target=TargetId(0, "Q"), E=e,
+                                  B=rng.standard_normal((d_m, len(e))),
+                                  A=rng.standard_normal((len(e), d_n)))
         inputs, twins = [], []
         for i, r in enumerate(ranks):
             e = rng.standard_normal(r)
-            if i == 0:
-                e = np.append(e, 0.0)
-            a = SvdLoraAdapter(target=TargetId(0, "Q"), E=e,
-                               B=rng.standard_normal((d_m, len(e))),
-                               A=rng.standard_normal((len(e), d_n)))
-            g = rng.uniform(0.5, 2.0, len(e)) * rng.choice([-1.0, 1.0], len(e))
+            a = adapter(np.append(e, 0.0) if i == 0 else e)
+            g = rng.uniform(0.5, 2.0, len(a.E)) * rng.choice([-1.0, 1.0], len(a.E))
             inputs.append(a)
-            twins.append(SvdLoraAdapter(target=a.target, B=a.B * g, E=e,
+            twins.append(SvdLoraAdapter(target=a.target, B=a.B * g, E=a.E,
                                         A=a.A / g[:, None]))
             s_i = np.linalg.svd(delta(a), compute_uv=False)
             assume(np.all(-np.diff(s_i[:r + 1]) > 1e-6 * s_i[0]))
@@ -378,20 +387,43 @@ class TestDenseOracle:
         k = next(j for j in range(1, width + 1)
                  if s[:j].sum() >= mg.DEFAULT_THRESHOLD * s.sum())  # brute force
         assume(k == width or s[k - 1] - s[k] > 1e-6 * s[0])
+        kc = min(k, cap)
+        assume(kc == width or s[kc - 1] - s[kc] > 1e-6 * s[0])
 
         arith = mg.MergeConfig(method=mg.MergeMethod.TASK_ARITHMETIC)
-        for family in (inputs, twins):
+        scaled = mg.MergeConfig(method=mg.MergeMethod.TASK_ARITHMETIC, lam=lam)
+        capped = mg.MergeConfig(max_rank=cap)
+        s_lam = abs(lam) * n * s  # spectrum of lam * sum_i delta_i
+        for family in (inputs, twins, [inputs[i] for i in order]):
             merged, rec = mg.merge_target(family, arith)
             assert np.abs(delta(merged) - mean).max() <= 1e-10 * s[0]
             assert np.abs(np.array(rec.spectrum) - s).max() <= 1e-10 * s[0]
-            merged, rec = mg.merge_target(family, mg.MergeConfig())
-            assert np.abs(np.array(rec.spectrum) - s).max() <= 1e-9 * s[0]
-            assert merged.rank == rec.kept_rank == k
-            cut = (u[:, :k] * s[:k]) @ vt[:k]
-            assert np.abs(delta(merged) - cut).max() <= 1e-9 * s[0]
+            merged, rec = mg.merge_target(family, scaled)
+            assert np.abs(delta(merged) - lam * n * mean).max() <= 1e-10 * s_lam[0]
+            assert np.abs(np.array(rec.spectrum) - s_lam).max() <= 1e-10 * s_lam[0]
+            for cfg, kept in ((mg.MergeConfig(), k), (capped, kc)):
+                merged, rec = mg.merge_target(family, cfg)
+                assert np.abs(np.array(rec.spectrum) - s).max() <= 1e-9 * s[0]
+                assert merged.rank == rec.kept_rank == kept
+                cut = (u[:, :kept] * s[:kept]) @ vt[:kept]
+                assert np.abs(delta(merged) - cut).max() <= 1e-9 * s[0]
         for a, twin in zip(inputs, twins):
             x, y = canonicalize(a), canonicalize(twin)
             assert x.rank == y.rank
             for name in ("B", "E", "A"):
                 np.testing.assert_allclose(getattr(x, name), getattr(y, name),
                                            rtol=0, atol=1e-8)
+
+        # pre-avg needs equal ranks: the first input (zero component
+        # included) and n - 1 fresh inputs of its rank
+        same = [inputs[0]] + [adapter(rng.standard_normal(len(inputs[0].E)))
+                              for _ in range(n - 1)]
+        factor_mean = ((sum(a.B for a in same) / n) * (sum(a.E for a in same) / n)
+                       @ (sum(a.A for a in same) / n))
+        s_pre = np.linalg.svd(factor_mean, compute_uv=False)
+        assume(s_pre[0] > 0)
+        merged, rec = mg.merge_target(same, mg.MergeConfig(
+            method=mg.MergeMethod.PRE_MERGE_AVERAGE))
+        assert np.abs(delta(merged) - factor_mean).max() <= 1e-10 * s_pre[0]
+        assert np.abs(np.array(rec.spectrum) - s_pre).max() <= 1e-10 * s_pre[0]
+        assert merged.rank == rec.kept_rank == len(inputs[0].E)

@@ -455,7 +455,7 @@ class TestMergeReportIo:
         from svdlora import linalg
         path = tmp_path / "r.json"
         storage.save_merge_report(self._report(), path)
-        loaded = storage.load_merge_report(path)
+        loaded = json.loads(path.read_text())
         rec = loaded["records"][0]
         s = np.asarray(rec["spectrum"])
         f = linalg.SvdFactors(U=np.eye(len(s)), S=s, V=np.eye(len(s)))

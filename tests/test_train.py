@@ -404,6 +404,26 @@ class TestConfig:
                 with pytest.raises(ParameterError, match=f"{field} must be finite"):
                     TrainConfig(**{field: value})
 
+    def test_recipe_constants_are_not_fields(self):
+        for name in ("batch_size", "init_std", "beta1", "beta2", "adam_eps"):
+            with pytest.raises(TypeError):
+                TrainConfig(**{name: getattr(TrainConfig, name)})
+
+    def test_digest_matches_the_ten_field_recipe(self):
+        # the text the recipe hashed when all ten values were fields
+        assert TrainConfig().digest() == "89f12c2391f77731"
+        assert TrainConfig(seed=1).digest() == "d71a39a770bb7560"
+
+    @pytest.mark.parametrize("build", [
+        lambda: TrainConfig(seed=-1),
+        lambda: TaskSpec(task_seed=-1),
+        lambda: TaskSpec(task_seed=1, family_seed=-1),
+        lambda: TinyModel(seed=-1),
+    ], ids=["train-config", "task-seed", "family-seed", "tiny-model"])
+    def test_negative_seed_rejected(self, build):
+        with pytest.raises(ParameterError, match="non-negative"):
+            build()
+
     def test_digest_stable(self):
         assert TrainConfig(seed=1).digest() == TrainConfig(seed=1).digest()
         assert TrainConfig(seed=1).digest() != TrainConfig(seed=2).digest()
