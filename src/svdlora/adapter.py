@@ -5,7 +5,9 @@ contributes a delta ``B @ diag(E) @ A`` on top of the frozen weight. E is
 stored as a length-r vector; B and A are only approximately orthonormal
 while training and are restored to an exact SVD by :func:`canonicalize`.
 :func:`svd_factors` is the only route from factors to SVD form: merging,
-task arithmetic, merge reports and ``inspect`` all go through it.
+task arithmetic and canonicalization go through it, and :func:`spectrum`,
+which merge reports and ``inspect`` use, takes the same core's singular
+values without forming any singular vector.
 :meth:`AdapterSet.tensors` is the only statement of a set's tensor order:
 files, digests, the training vector and its gradient (a set built by
 :meth:`AdapterSet.on_flat`) all follow it.
@@ -131,13 +133,27 @@ def svd_factors(B: np.ndarray, E: np.ndarray, A: np.ndarray) -> linalg.SvdFactor
     """
     qb, rb = np.linalg.qr(B)
     qa, ra = np.linalg.qr(A.T)
-    f = linalg.svd((rb * E) @ ra.T)
+    f = linalg.svd(_core(rb, E, ra))
     u, v = qb @ f.U, qa @ f.V
     cols = np.arange(v.shape[1])
     flip = v[np.argmax(np.abs(v), axis=0), cols] < 0
     u[:, flip] *= -1.0
     v[:, flip] *= -1.0
     return linalg.SvdFactors(U=u, S=f.S, V=v)
+
+
+def spectrum(B: np.ndarray, E: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """The singular values of ``B @ diag(E) @ A``, bit for bit those of
+    :func:`svd_factors`: the same QRs, kept to their R factors, and the
+    same core SVD, with no Q factor or rotated singular vector formed."""
+    return linalg.svd(_core(np.linalg.qr(B, mode="r"), E,
+                            np.linalg.qr(A.T, mode="r"))).S
+
+
+def _core(rb: np.ndarray, E: np.ndarray, ra: np.ndarray) -> np.ndarray:
+    """The small matrix whose SVD, rotated by the QRs' Q factors, is that of
+    ``B @ diag(E) @ A``, from the R factors of ``B`` and ``A.T``."""
+    return (rb * E) @ ra.T
 
 
 def from_svd(target: TargetId, f: linalg.SvdFactors) -> SvdLoraAdapter:

@@ -17,7 +17,7 @@ from .adapter import AdapterSet
 from .data import TaskSpec, generate_task
 from .errors import ParameterError
 from .merge import MergeConfig, MergeMethod, merge_sets
-from .model import TinyModel
+from .model import DEFAULT_BACKBONE_SEED, TinyModel
 from .train import (TrainConfig, TrainResult, curve_csv_lines, epochs_to_accuracy,
                     evaluate, train_adapter)
 
@@ -29,7 +29,7 @@ MERGE_COLUMNS = ("specialist",) + tuple(m.value for m in MergeMethod)
 
 @dataclass(frozen=True)
 class BenchSuite:
-    backbone_seed: int = 7
+    backbone_seed: int = DEFAULT_BACKBONE_SEED
     cross_tasks: tuple[TaskSpec, ...] = ()
     in_domain_tasks: tuple[TaskSpec, ...] = ()
     held_out_tasks: tuple[TaskSpec, ...] = ()
@@ -83,13 +83,15 @@ def default_suite() -> BenchSuite:
 
 
 def _train_job(args) -> tuple[tuple, TrainResult]:
-    key, model, spec, cfg, init = args
-    return key, train_adapter(model, spec, cfg, init=init)
+    key, model, spec, cfg, init, dataset = args
+    return key, train_adapter(model, spec, cfg, init=init, dataset=dataset)
 
 
 def _run_jobs(jobs: list[tuple], jobs_n: int) -> dict:
-    """Run (key, model, spec, cfg, init) training jobs, optionally in
-    parallel; results are keyed so ordering never depends on completion."""
+    """Run (key, model, spec, cfg, init, dataset) training jobs, optionally
+    in parallel; results are keyed so ordering never depends on completion.
+    Each task's dataset is generated once by the caller and shared by all
+    of its jobs."""
     if jobs_n <= 1:
         return {key: res for key, res in map(_train_job, jobs)}
     # Imported here so that single-job runs never load the process-pool
@@ -131,7 +133,7 @@ def run_merge_experiment(model: TinyModel, tasks: tuple[TaskSpec, ...],
     for s in suite.run_seeds:
         for i, t in enumerate(tasks):
             cfg = TrainConfig(seed=seed_base + 100 * s + i)
-            jobs.append(((s, t.label), model, t, cfg, None))
+            jobs.append(((s, t.label), model, t, cfg, None, datasets[t.label]))
     trained = _run_jobs(jobs, jobs_n)
 
     result = MergeExperimentResult(tasks=tasks)
@@ -174,6 +176,7 @@ def run_finetune_experiment(model: TinyModel, suite: BenchSuite,
     The same run seed is shared across inits for a fair comparison; merged
     inits come from the matching run seed of the merge experiments.
     """
+    datasets = {t.label: generate_task(t) for t in suite.held_out_tasks}
     jobs = []
     for s in suite.run_seeds:
         inits = {
@@ -184,7 +187,8 @@ def run_finetune_experiment(model: TinyModel, suite: BenchSuite,
         for i, t in enumerate(suite.held_out_tasks):
             cfg = TrainConfig(seed=30000 + 100 * s + i)
             for init_name, init in inits.items():
-                jobs.append(((t.label, init_name, s), model, t, cfg, init))
+                jobs.append(((t.label, init_name, s), model, t, cfg, init,
+                             datasets[t.label]))
     trained = _run_jobs(jobs, jobs_n)
     return FinetuneExperimentResult(curves=trained)
 

@@ -14,16 +14,14 @@ from pathlib import Path
 import numpy as np
 
 from . import bench as bench_mod
-from .adapter import SvdLoraAdapter, init_adapter, param_count, svd_factors
+from .adapter import SvdLoraAdapter, init_adapter, param_count, spectrum
 from .data import TaskSpec, generate_task
 from .errors import ParameterError, ToolkitError
 from .merge import (DEFAULT_THRESHOLD, MergeConfig, MergeMethod, merge_sets,
                     premerge_postmerge_gap)
-from .model import TinyModel, backbone_param_count
+from .model import DEFAULT_BACKBONE_SEED, TinyModel, backbone_param_count
 from .storage import load_adapter_set, save_adapter_set, save_merge_report
 from .train import TrainConfig, curve_csv_lines, evaluate, train_adapter
-
-DEFAULT_BACKBONE_SEED = 7
 
 
 def _positive_int(text: str) -> int:
@@ -166,7 +164,7 @@ def cmd_inspect(args) -> int:
     print(f"param_fraction={fraction:.6f}")
     for tid in s.sorted_targets():
         a = s.adapters[tid]
-        top = ",".join(f"{v:.6g}" for v in svd_factors(a.B, a.E, a.A).S)
+        top = ",".join(f"{v:.6g}" for v in spectrum(a.B, a.E, a.A))
         print(f"{tid}: rank={a.rank} spectrum=[{top}]")
     if s.head_w is not None:
         print(f"head: shape={s.head_w.shape[0]}x{s.head_w.shape[1]}")
@@ -183,17 +181,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train, merge and evaluate SVD-structured low-rank adapters.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    recipe = TrainConfig()  # the training defaults have one owner
 
     p = sub.add_parser("train", help="train adapters on one synthetic task")
     p.add_argument("--task-seed", type=int, default=1)
     p.add_argument("--classes", type=_positive_int, default=2)
     p.add_argument("--components", type=_positive_int, default=1)
     p.add_argument("--separation", type=float, default=3.0)
-    p.add_argument("--rank", type=_positive_int, default=4)
-    p.add_argument("--epochs", type=_positive_int, default=100)
-    p.add_argument("--lr", type=float, default=3e-4)
-    p.add_argument("--reg", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--rank", type=_positive_int, default=recipe.rank)
+    p.add_argument("--epochs", type=_positive_int, default=recipe.epochs)
+    p.add_argument("--lr", type=float, default=recipe.learning_rate)
+    p.add_argument("--reg", type=float, default=recipe.reg_weight)
+    p.add_argument("--seed", type=int, default=recipe.seed)
     p.add_argument("--backbone-seed", type=int, default=DEFAULT_BACKBONE_SEED)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)

@@ -100,9 +100,10 @@ def _make_split(spec: TaskSpec, means: np.ndarray, split_index: int,
     rng.shuffle(labels)
     comps = rng.integers(0, spec.components, size=n)
     centers = means[labels, comps]  # (n, d)
-    x = centers[:, None, :] + spec.noise * rng.standard_normal(
-        (n, spec.seq_len, spec.embed_dim)
-    )
+    # in place: the same operations as centers + noise * z, no temporaries
+    x = rng.standard_normal((n, spec.seq_len, spec.embed_dim))
+    x *= spec.noise
+    x += centers[:, None, :]
     return x, labels
 
 

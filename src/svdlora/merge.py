@@ -21,7 +21,7 @@ import numpy as np
 
 from . import linalg
 from .adapter import (AdapterSet, SvdLoraAdapter, TargetId, delta, drop_zeros,
-                      from_svd, svd_factors)
+                      from_svd, spectrum, svd_factors)
 from .errors import MergeError, ParameterError
 
 
@@ -124,10 +124,10 @@ def _stacked_svd(adapters: list[SvdLoraAdapter], scale: float) -> linalg.SvdFact
                        np.vstack([a.A for a in adapters]))
 
 
-def full_spectrum(f: linalg.SvdFactors) -> tuple[float, ...]:
-    """Singular values padded with exact zeros to min(d_m, d_n) entries."""
-    width = min(f.U.shape[0], f.V.shape[0])
-    return tuple(float(s) for s in f.S) + (0.0,) * (width - f.rank)
+def full_spectrum(s: np.ndarray, shape: tuple[int, int]) -> tuple[float, ...]:
+    """Singular values ``s`` of a ``shape`` matrix, padded with exact zeros
+    to min(d_m, d_n) entries."""
+    return tuple(float(v) for v in s) + (0.0,) * (min(shape) - len(s))
 
 
 def merge_target(adapters: list[SvdLoraAdapter],
@@ -138,7 +138,7 @@ def merge_target(adapters: list[SvdLoraAdapter],
     the kept singular values carry at least ``threshold_v`` of the singular
     mass. task-arith: SVD of ``lam * sum_i delta_i`` (lam defaults to 1/N)
     from the same stack, every non-zero component kept. pre-avg: the
-    factor-wise average, whose SVD serves the record only. Input ranks may
+    factor-wise average, whose singular values serve the record only. Input ranks may
     differ except for pre-avg. The record's spectrum is that of the merged
     delta before any cut; its kept rank is the returned adapter's rank.
     """
@@ -148,7 +148,7 @@ def merge_target(adapters: list[SvdLoraAdapter],
     target = adapters[0].target
     if cfg.method is MergeMethod.PRE_MERGE_AVERAGE:
         merged = baseline_pre_merge(adapters)
-        f = kept = svd_factors(merged.B, merged.E, merged.A)
+        s = kept_s = spectrum(merged.B, merged.E, merged.A)
     else:
         f = _stacked_svd(adapters, 1.0 / len(adapters) if cfg.lam is None else cfg.lam)
         if cfg.method is MergeMethod.MED_LEGO:
@@ -156,13 +156,14 @@ def merge_target(adapters: list[SvdLoraAdapter],
         else:
             kept = drop_zeros(f)
         merged = from_svd(target, kept)
-    total = float(np.sum(f.S))
+        s, kept_s = f.S, kept.S
+    total = float(np.sum(s))
     record = TargetRecord(
         target=target,
         input_ranks=tuple(a.rank for a in adapters),
-        spectrum=full_spectrum(f),
+        spectrum=full_spectrum(s, merged.shape),
         kept_rank=merged.rank,
-        retained_mass=float(np.sum(kept.S)) / total if total > 0 else 1.0,
+        retained_mass=float(np.sum(kept_s)) / total if total > 0 else 1.0,
     )
     return merged, record
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from svdlora import adapter as ad
 from svdlora.errors import DimensionError, ModelError, NumericError, ParameterError
@@ -114,6 +114,22 @@ class TestCanonicalize:
         ref = ad.delta(a)
         err = np.linalg.norm(ad.delta(canon) - ref)
         assert err <= 1e-9 * max(1.0, np.linalg.norm(ref))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 12), st.integers(1, 12),
+           st.lists(st.integers(1, 6), min_size=1, max_size=5), st.booleans())
+    @example(seed=0, d_m=4, d_n=6, ranks=[4, 4], zero_e=True)
+    @example(seed=1, d_m=5, d_n=3, ranks=[2, 3, 1], zero_e=False)
+    def test_spectrum_is_svd_factors_s(self, seed, d_m, d_n, ranks, zero_e):
+        # stacks as merging builds them: the inner width may exceed min(d_m, d_n)
+        rng = np.random.default_rng(seed)
+        r = sum(ranks)
+        b, a = rng.standard_normal((d_m, r)), rng.standard_normal((r, d_n))
+        e = np.zeros(r) if zero_e else rng.standard_normal(r)
+        s = ad.spectrum(b, e, a)
+        expected = ad.svd_factors(b, e, a).S
+        assert s.shape == expected.shape == (min(d_m, d_n, r),)
+        assert s.tobytes() == expected.tobytes()
 
     @staticmethod
     def _same_factors(x, y):
