@@ -18,7 +18,9 @@ byte-identical; run it once with each tree on ``PYTHONPATH`` and compare.
 ``--write`` runs the scenario in a temporary directory instead and records
 the digests in ``tests/golden.json``, with the :func:`fingerprint` of the
 machine, for ``tests/test_golden.py`` to compare against. A change that
-moves output bytes on purpose rewrites that file.
+moves output bytes on purpose rewrites that file; before it does, one
+``path: old → new`` line is printed per digest that moves (``none`` for a
+path that is new or gone).
 """
 import contextlib
 import ctypes
@@ -118,6 +120,11 @@ if __name__ == "__main__":
         with tempfile.TemporaryDirectory() as tmp:
             scenario(Path(tmp))
             record = {"fingerprint": fingerprint(), "digests": digests(Path(tmp))}
+        old = json.loads(GOLDEN.read_text(encoding="utf-8"))["digests"] if GOLDEN.exists() else {}
+        new = record["digests"]
+        for rel in sorted(old.keys() | new.keys()):
+            if old.get(rel) != new.get(rel):
+                print(f"{rel}: {old.get(rel, 'none')} → {new.get(rel, 'none')}")
         GOLDEN.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
         print(f"wrote {len(record['digests'])} digests to {GOLDEN}")
     else:

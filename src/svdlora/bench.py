@@ -25,6 +25,8 @@ REACH_TARGET = 0.8  # validation accuracy level for convergence-speed curves
 # Columns of the merge CSVs and summary tables: the specialists, then med-lego
 # and each baseline in MergeMethod order.
 MERGE_COLUMNS = ("specialist",) + tuple(m.value for m in MergeMethod)
+# Initializations each held-out task is fine-tuned from, in CSV and table order.
+FINETUNE_INITS = ("fresh", "merged-cross", "merged-indomain")
 
 
 @dataclass(frozen=True)
@@ -162,10 +164,6 @@ class FinetuneExperimentResult:
     # curves[(task.label, init, seed)] = TrainResult
     curves: dict[tuple[str, str, int], TrainResult] = field(default_factory=dict)
 
-    def epochs_to_target(self, task: str, init: str, seed: int) -> int:
-        return epochs_to_accuracy(self.curves[(task, init, seed)].val_accs,
-                                  REACH_TARGET)
-
 
 def run_finetune_experiment(model: TinyModel, suite: BenchSuite,
                             cross: MergeExperimentResult,
@@ -179,11 +177,8 @@ def run_finetune_experiment(model: TinyModel, suite: BenchSuite,
     datasets = {t.label: generate_task(t) for t in suite.held_out_tasks}
     jobs = []
     for s in suite.run_seeds:
-        inits = {
-            "fresh": None,
-            "merged-cross": cross.merged_sets[s],
-            "merged-indomain": in_domain.merged_sets[s],
-        }
+        inits = dict(zip(FINETUNE_INITS, (None, cross.merged_sets[s],
+                                          in_domain.merged_sets[s])))
         for i, t in enumerate(suite.held_out_tasks):
             cfg = TrainConfig(seed=30000 + 100 * s + i)
             for init_name, init in inits.items():
@@ -195,6 +190,14 @@ def run_finetune_experiment(model: TinyModel, suite: BenchSuite,
 
 def _write_lines(path: Path, lines: list[str]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _table(header: tuple[str, ...], rows: list[tuple[str, ...]]) -> list[str]:
+    """A markdown table whose rule line is as wide as each header cell."""
+    lines = ["| " + " | ".join(header) + " |",
+             "|" + "|".join("-" * (len(c) + 2) for c in header) + "|"]
+    lines.extend("| " + " | ".join(row) + " |" for row in rows)
+    return lines
 
 
 def _merge_csv(result: MergeExperimentResult, suite: BenchSuite) -> list[str]:
@@ -211,33 +214,11 @@ def _finetune_csv(result: FinetuneExperimentResult,
                   suite: BenchSuite) -> list[str]:
     lines = ["task,init,seed,epoch,train_loss,val_acc"]
     for t in suite.held_out_tasks:
-        for init in ("fresh", "merged-cross", "merged-indomain"):
+        for init in FINETUNE_INITS:
             for s in suite.run_seeds:
                 rows = curve_csv_lines(result.curves[(t.label, init, s)])[1:]
                 lines.extend(f"{t.label},{init},{s},{row}" for row in rows)
     return lines
-
-
-def majority_med_lego_wins(result: MergeExperimentResult, suite: BenchSuite,
-                           baseline: str) -> tuple[int, int]:
-    """(number of seeds where med-lego's mean beats the baseline's mean,
-    number of seeds)."""
-    wins = sum(
-        1 for s in suite.run_seeds
-        if result.mean_accuracy(s, "med-lego") > result.mean_accuracy(s, baseline)
-    )
-    return wins, suite.seeds_per_cell
-
-
-def convergence_summary(ft: FinetuneExperimentResult, suite: BenchSuite,
-                        init: str) -> dict[str, float]:
-    """Per-task median epochs to reach the target validation accuracy."""
-    out = {}
-    for t in suite.held_out_tasks:
-        out[t.label] = statistics.median(
-            ft.epochs_to_target(t.label, init, s) for s in suite.run_seeds
-        )
-    return out
 
 
 def run_bench(out_dir, suite: BenchSuite | None = None, jobs_n: int = 1):
@@ -258,38 +239,27 @@ def run_bench(out_dir, suite: BenchSuite | None = None, jobs_n: int = 1):
     _write_lines(out / "finetune_curves.csv", _finetune_csv(ft, suite))
 
     lines = ["# Benchmark summary", ""]
-    for name, result in (("Cross-domain (7 tasks)", cross),
-                         ("In-domain (3 tasks)", in_dom)):
-        lines.append(f"## {name}")
-        lines.append("")
-        lines.append("Mean merged-model accuracy across tasks, per run seed:")
-        lines.append("")
-        header = ("seed",) + MERGE_COLUMNS
-        lines.append("| " + " | ".join(header) + " |")
-        lines.append("|" + "|".join("-" * (len(c) + 2) for c in header) + "|")
-        for s in suite.run_seeds:
-            row = " | ".join(f"{result.mean_accuracy(s, m):.4f}" for m in MERGE_COLUMNS)
-            lines.append(f"| {s} | {row} |")
+    for name, result in (("Cross-domain", cross), ("In-domain", in_dom)):
+        means = {s: {m: result.mean_accuracy(s, m) for m in MERGE_COLUMNS}
+                 for s in suite.run_seeds}
+        lines += [f"## {name} ({len(result.tasks)} tasks)", "",
+                  "Mean merged-model accuracy across tasks, per run seed:", ""]
+        lines += _table(("seed",) + MERGE_COLUMNS,
+                        [(str(s),) + tuple(f"{a:.4f}" for a in row.values())
+                         for s, row in means.items()])
         for baseline in MERGE_COLUMNS[2:]:
-            wins, total = majority_med_lego_wins(result, suite, baseline)
-            lines.append("")
-            lines.append(
-                f"med-lego mean beats {baseline} mean in {wins}/{total} seeds."
-            )
+            wins = sum(row["med-lego"] > row[baseline] for row in means.values())
+            lines += ["", f"med-lego mean beats {baseline} mean in "
+                          f"{wins}/{suite.seeds_per_cell} seeds."]
         lines.append("")
-    lines.append("## Fine-tuning held-out tasks")
-    lines.append("")
-    lines.append(f"Median epochs to reach {REACH_TARGET} validation accuracy:")
-    lines.append("")
-    lines.append("| task | fresh | merged-cross | merged-indomain |")
-    lines.append("|------|-------|--------------|-----------------|")
-    med = {init: convergence_summary(ft, suite, init)
-           for init in ("fresh", "merged-cross", "merged-indomain")}
+    lines += ["## Fine-tuning held-out tasks", "",
+              f"Median epochs to reach {REACH_TARGET} validation accuracy:", ""]
+    rows = []
     for t in suite.held_out_tasks:
-        lines.append(
-            f"| {t.label} | {med['fresh'][t.label]:g} | "
-            f"{med['merged-cross'][t.label]:g} | "
-            f"{med['merged-indomain'][t.label]:g} |"
-        )
+        medians = (statistics.median(
+            epochs_to_accuracy(ft.curves[(t.label, init, s)].val_accs, REACH_TARGET)
+            for s in suite.run_seeds) for init in FINETUNE_INITS)
+        rows.append((t.label,) + tuple(f"{m:g}" for m in medians))
+    lines += _table(("task",) + FINETUNE_INITS, rows)
     _write_lines(out / "summary.md", lines)
     return cross, in_dom, ft

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench as bench_mod
-from .adapter import SvdLoraAdapter, init_adapter, param_count, spectrum
+from .adapter import SvdLoraAdapter, TargetId, param_count, spectrum
 from .data import TaskSpec, generate_task
 from .errors import ParameterError, ToolkitError
 from .merge import (DEFAULT_THRESHOLD, MergeConfig, MergeMethod, merge_sets,
@@ -126,13 +126,12 @@ def cmd_gap_demo(args) -> int:
     if args.seed < 0:
         raise ParameterError(f"seed must be non-negative, got {args.seed}")
     rng = np.random.default_rng(args.seed)
-    base = init_adapter(16, 16, 4, seed=args.seed)
     def randomized():
         return SvdLoraAdapter(
-            target=base.target,
-            B=rng.standard_normal(base.B.shape),
-            E=rng.standard_normal(base.E.shape),
-            A=rng.standard_normal(base.A.shape),
+            target=TargetId(0, "Q"),
+            B=rng.standard_normal((16, 4)),
+            E=rng.standard_normal((4,)),
+            A=rng.standard_normal((4, 16)),
         )
     first = randomized()
     second = first if args.identical else randomized()

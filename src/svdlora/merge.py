@@ -84,13 +84,9 @@ class TargetRecord:
     retained_mass: float
 
     def as_dict(self) -> dict:
-        return {
-            "target": str(self.target),
-            "input_ranks": list(self.input_ranks),
-            "spectrum": list(self.spectrum),
-            "kept_rank": self.kept_rank,
-            "retained_mass": self.retained_mass,
-        }
+        # vars, not dataclasses.asdict: asdict deep-copies the spectrum
+        # float by float, ~200 µs per record at d = 128.
+        return vars(self) | {"target": str(self.target)}
 
 
 @dataclass

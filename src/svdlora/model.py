@@ -242,11 +242,11 @@ def orthogonality_penalty(adapters: AdapterSet, grads: AdapterSet | None = None,
     return total
 
 
-def backward(model: TinyModel, adapters: AdapterSet, cache: dict,
-             dlogits: np.ndarray, grads: AdapterSet) -> None:
+def backward(model: TinyModel, cache: dict, dlogits: np.ndarray,
+             grads: AdapterSet) -> None:
     """Exact reverse-mode gradients of the network through the cached
-    forward pass, written in place into ``grads``, a set in ``adapters``'
-    layout whose every tensor is overwritten.
+    forward pass, written in place into ``grads``, a set in the layout of
+    the adapters that pass ran with, whose every tensor is overwritten.
 
     Backbone weights are frozen: the pass propagates through them but never
     accumulates gradients for them, and it stops at the first layer's input,

@@ -96,7 +96,7 @@ def gradients(model: TinyModel, adapters: AdapterSet,
         grads = adapters.on_flat(np.zeros(n))
     logits, cache = forward(model, adapters, x, want_cache=True)
     ce, dlogits = cross_entropy(logits, labels)
-    backward(model, adapters, cache, dlogits, grads)
+    backward(model, cache, dlogits, grads)
     penalty = orthogonality_penalty(adapters, grads, reg_weight)
     return ce + reg_weight * penalty, grads
 
@@ -122,19 +122,15 @@ def init_adapter_set(model: TinyModel, num_classes: int,
 
 
 class _Adam:
-    """Adam over one flat parameter vector, updated in place.
-
-    Each step applies p - lr * mhat / (sqrt(vhat) + eps) with the same
-    elementwise operations in the same order as the textbook formula, so the
-    result is bit-identical to it; only the temporaries are reused.
+    """Adam over one flat parameter vector: each step applies
+    theta - lr * mhat / (sqrt(vhat) + eps) to ``theta`` in place, because
+    the live adapter set is views into it.
     """
 
     def __init__(self, size: int, cfg: TrainConfig):
         self.cfg = cfg
         self.m = np.zeros(size)
         self.v = np.zeros(size)
-        self._denom = np.empty(size)
-        self._update = np.empty(size)
         self.t = 0
 
     def step(self, theta: np.ndarray, g: np.ndarray) -> None:
@@ -142,21 +138,9 @@ class _Adam:
         self.t += 1
         bc1 = 1.0 - c.beta1 ** self.t
         bc2 = 1.0 - c.beta2 ** self.t
-        denom, update = self._denom, self._update
-        np.multiply(g, 1 - c.beta1, out=update)
-        self.m *= c.beta1
-        self.m += update
-        np.multiply(g, g, out=update)
-        update *= 1 - c.beta2
-        self.v *= c.beta2
-        self.v += update
-        np.divide(self.v, bc2, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += c.adam_eps
-        np.divide(self.m, bc1, out=update)
-        update *= c.learning_rate
-        update /= denom
-        theta -= update
+        self.m = c.beta1 * self.m + g * (1 - c.beta1)
+        self.v = c.beta2 * self.v + g * g * (1 - c.beta2)
+        theta -= self.m / bc1 * c.learning_rate / (np.sqrt(self.v / bc2) + c.adam_eps)
 
 
 def evaluate(model: TinyModel, adapters: AdapterSet,

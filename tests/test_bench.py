@@ -39,3 +39,6 @@ def test_each_task_generated_once(tmp_path, monkeypatch):
                        held_out_tasks=tiny(5), seeds_per_cell=1)
     bench.run_bench(tmp_path, suite)
     assert calls == Counter({f"task{s}": 1 for s in range(1, 6)})
+    summary = (tmp_path / "summary.md").read_text(encoding="utf-8").splitlines()
+    assert "## Cross-domain (2 tasks)" in summary
+    assert "## In-domain (2 tasks)" in summary
