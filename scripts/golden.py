@@ -4,13 +4,14 @@
 Usage: PYTHONPATH=src python scripts/golden.py OUT
        PYTHONPATH=src python scripts/golden.py --write
 
-The scenario writes into the directory OUT (made if missing; it should be
-empty): the README walkthrough at 5 epochs (two trainings with their curve
-CSVs), all three merge methods with their reports, the stdout of ``inspect``
-on each file, of ``eval`` of each merged file with both heads, and of
-``gap-demo`` with and without ``--identical``, and a reduced ``run_bench``
-(two cross-domain, two in-domain and one held-out task of the default
-suite, one run seed, ``n_train=128``) with its four files. It then prints
+The scenario writes into the directory OUT (made if missing; the script
+exits if it is not empty, since every file under it is listed): the README
+walkthrough at 5 epochs (two trainings with their curve CSVs), all three
+merge methods with their reports, the stdout of ``inspect`` on each file,
+of ``eval`` of each merged file with both heads, and of ``gap-demo`` with
+and without ``--identical``, and a reduced ``run_bench`` (two cross-domain,
+two in-domain and one held-out task of the default suite, one run seed,
+``n_train=128``) with its four files. It then prints
 one ``sha256  path`` line per file, sorted by path, relative to OUT. Two
 source trees print identical lines exactly when every output is
 byte-identical; run it once with each tree on ``PYTHONPATH`` and compare.
@@ -129,5 +130,8 @@ if __name__ == "__main__":
         print(f"wrote {len(record['digests'])} digests to {GOLDEN}")
     else:
         target = Path(sys.argv[1])
+        if target.exists() and (not target.is_dir() or any(target.iterdir())):
+            sys.exit(f"golden.py: {target} is not an empty directory; files already "
+                     "in it would be listed with the scenario's outputs")
         scenario(target)
         print("\n".join(f"{sha}  {rel}" for rel, sha in digests(target).items()))

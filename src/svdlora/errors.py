@@ -22,11 +22,7 @@ class NumericError(ToolkitError):
 
 
 class ConvergenceError(ToolkitError):
-    """An iterative routine hit its iteration cap; carries the residual."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
+    """An iterative routine hit its iteration cap."""
 
 
 class MergeError(ToolkitError):

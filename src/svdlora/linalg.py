@@ -198,9 +198,7 @@ def svd(m: np.ndarray) -> SvdFactors:
         if steps == _JACOBI_MAX_SWEEPS:
             raise ConvergenceError(
                 f"Jacobi SVD did not converge in {_JACOBI_MAX_SWEEPS} sweeps "
-                f"(residual {residual:.3e})",
-                residual=residual,
-            )
+                f"(residual {residual:.3e})")
         r = _polish_rotation(gram, rel)
         if r is not None:
             work = work @ r

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapter import AdapterSet, ModelSignature, SvdLoraAdapter, TargetId
+from .adapter import SLOTS, AdapterSet, ModelSignature, TargetId
 from .errors import DataError, ModelError, ParameterError
 
 _BACKBONE_TAG = 5551
@@ -93,7 +93,8 @@ class LayerWeights:
 class TinyModel:
     """Immutable toy backbone standing in for a pre-trained model."""
 
-    def __init__(self, embed_dim: int = 32, num_layers: int = 2, seed: int = 0):
+    def __init__(self, embed_dim: int = 32, num_layers: int = 2,
+                 seed: int = DEFAULT_BACKBONE_SEED):
         if seed < 0:
             raise ParameterError(f"backbone seed must be non-negative, got {seed}")
         self.embed_dim = embed_dim
@@ -125,7 +126,7 @@ class TinyModel:
         return [
             TargetId(layer, slot)
             for layer in range(self.num_layers)
-            for slot in ("Q", "V")
+            for slot in SLOTS
         ]
 
 
@@ -137,26 +138,15 @@ def check_signature(model: TinyModel, adapters: AdapterSet) -> None:
         )
 
 
-def _adapted_projection(x: np.ndarray, w: np.ndarray,
-                        ad: SvdLoraAdapter | None):
-    """x @ (w + delta).T on token rows without forming delta; returns the
-    projection plus the low-rank intermediates needed for the backward pass."""
-    out = x @ w.T
-    if ad is None:
-        return out, None, None
-    ya = x @ ad.A.T           # (n*T, r)
-    yb = ya * ad.E            # (n*T, r)
-    out += yb @ ad.B.T
-    return out, ya, yb
-
-
 def forward(model: TinyModel, adapters: AdapterSet, x: np.ndarray,
             head: tuple[np.ndarray, np.ndarray] | None = None,
             want_cache: bool = False):
     """Logits for a batch x of shape (n, seq_len, embed_dim).
 
     ``head`` overrides the set's own classifier (used when evaluating a
-    merged, head-less set with a task-specific head).
+    merged, head-less set with a task-specific head). ``want_cache`` also
+    returns :func:`backward`'s cache, per layer ``(x, q, k, v, p, hact,
+    adapted)``; ``adapted`` is ``(w, adapter or None, ya, yb)`` per slot.
     """
     check_signature(model, adapters)
     if head is None:
@@ -172,11 +162,19 @@ def forward(model: TinyModel, adapters: AdapterSet, x: np.ndarray,
     x = x.reshape(n * seq_len, d)
     cache = []
     for layer_index, lw in enumerate(model.layers):
-        aq = adapters.adapters.get(TargetId(layer_index, "Q"))
-        av = adapters.adapters.get(TargetId(layer_index, "V"))
-        q, ya_q, yb_q = _adapted_projection(x, lw.Wq, aq)
+        projections, adapted = [], []
+        for slot, w in zip(SLOTS, (lw.Wq, lw.Wv)):
+            ad = adapters.adapters.get(TargetId(layer_index, slot))
+            proj = x @ w.T
+            ya = yb = None
+            if ad is not None:  # x @ (w + delta).T without forming delta
+                ya = x @ ad.A.T  # (n*T, r)
+                yb = ya * ad.E
+                proj += yb @ ad.B.T
+            projections.append(proj)
+            adapted.append((w, ad, ya, yb))
+        q, v = projections
         k = x @ lw.Wk.T
-        v, ya_v, yb_v = _adapted_projection(x, lw.Wv, av)
         p = q.reshape(n, seq_len, d) @ k.reshape(n, seq_len, d).transpose(0, 2, 1)
         p *= scale
         p -= p.max(axis=-1, keepdims=True)
@@ -190,10 +188,7 @@ def forward(model: TinyModel, adapters: AdapterSet, x: np.ndarray,
         x2 = hact @ lw.W2.T
         x2 += x1
         if want_cache:
-            cache.append(
-                dict(x=x, q=q, k=k, v=v, p=p, hact=hact,
-                     ya_q=ya_q, yb_q=yb_q, ya_v=ya_v, yb_v=yb_v, aq=aq, av=av)
-            )
+            cache.append((x, q, k, v, p, hact, adapted))
         x = x2
     pooled = x.reshape(n, seq_len, d).mean(axis=1)
     logits = pooled @ head_w + head_b
@@ -211,8 +206,9 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
         raise DataError(f"labels out of range [0, {c})")
     shifted = logits - logits.max(axis=1, keepdims=True)
     expv = np.exp(shifted)
-    probs = expv / expv.sum(axis=1, keepdims=True)
-    logprob = shifted - np.log(expv.sum(axis=1, keepdims=True))
+    total = expv.sum(axis=1, keepdims=True)
+    probs = expv / total
+    logprob = shifted - np.log(total)
     loss = -float(logprob[np.arange(n), labels].mean())
     grad = probs
     grad[np.arange(n), labels] -= 1.0
@@ -259,16 +255,15 @@ def backward(model: TinyModel, cache: dict, dlogits: np.ndarray,
     dz = dlogits @ head_w.T  # (n, d)
 
     n, d = dz.shape
-    seq_len = cache["layers"][0]["x"].shape[0] // n
+    seq_len = len(cache["layers"][0][0]) // n  # rows of the first layer's x
     dx = np.repeat(dz / seq_len, seq_len, axis=0)  # (n*T, d)
     scale = 1.0 / np.sqrt(d)
 
     for layer_index in reversed(range(model.num_layers)):
         lw = model.layers[layer_index]
-        c = cache["layers"][layer_index]
-        x, q, k, v, p = c["x"], c["q"], c["k"], c["v"], c["p"]
+        x, q, k, v, p, hact, adapted = cache["layers"][layer_index]
 
-        dtanh = np.square(c["hact"])
+        dtanh = np.square(hact)
         np.subtract(1.0, dtanh, out=dtanh)
         du1 = dx @ lw.W2
         du1 *= dtanh
@@ -289,10 +284,7 @@ def backward(model: TinyModel, cache: dict, dlogits: np.ndarray,
             dk *= scale
             dx_in = dx1
             dx_in += dk @ lw.Wk
-        for dproj, ya, yb, ad, w in (
-            (dq, c["ya_q"], c["yb_q"], c["aq"], lw.Wq),
-            (dv, c["ya_v"], c["yb_v"], c["av"], lw.Wv),
-        ):
+        for dproj, (w, ad, ya, yb) in zip((dq, dv), adapted):
             if dx_in is not None:
                 dx_in += dproj @ w
             if ad is None:

@@ -15,7 +15,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .adapter import INIT_STD, AdapterSet, SvdLoraAdapter, TargetId, init_adapter
+from .adapter import (INIT_STD, SLOTS, AdapterSet, SvdLoraAdapter, TargetId,
+                      init_adapter)
 from .data import Dataset, TaskSpec, generate_task
 from .errors import DataError, ParameterError, TrainingError
 from .model import (TinyModel, backward, check_signature, cross_entropy, forward,
@@ -106,7 +107,7 @@ def init_adapter_set(model: TinyModel, num_classes: int,
     """Fresh zero-delta adapters on every Q/V target plus a random head."""
     adapters: dict[TargetId, SvdLoraAdapter] = {}
     for tid in model.targets():
-        seed = [_ADAPTER_TAG, cfg.seed, tid.layer, 0 if tid.slot == "Q" else 1]
+        seed = [_ADAPTER_TAG, cfg.seed, tid.layer, SLOTS.index(tid.slot)]
         adapters[tid] = init_adapter(model.embed_dim, model.embed_dim, cfg.rank,
                                      seed=seed, target=tid)
     head_rng = np.random.default_rng([_HEAD_TAG, cfg.seed])

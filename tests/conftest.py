@@ -5,8 +5,12 @@ process runs with the BLAS thread count that ``import svdlora`` sets, as
 Every test that uses the ``bench_runs`` fixture (acceptance criteria 08, 09
 and 11) gets the ``bench`` marker, so ``-m "not bench"`` runs all else.
 
-:func:`validate_svd` is the test suites' check of SVD form; test modules
-import it with ``from conftest import validate_svd``."""
+:func:`validate_svd` is the test suites' check of SVD form and
+:func:`rewrite_header` their editor of adapter-file headers; test modules
+import them with ``from conftest import ...``."""
+
+import json
+import struct
 
 import pytest
 
@@ -38,3 +42,20 @@ def validate_svd(f, atol: float = 1e-9) -> None:
         dev = np.linalg.norm(q.T @ q - np.eye(k))
         if dev > atol:
             raise NumericError(f"{label} columns not orthonormal (deviation {dev:.3e})")
+
+
+def rewrite_header(src, dst, mutate) -> None:
+    """Copy the adapter file ``src`` to ``dst`` (which may be ``src``) with
+    its JSON header changed in place by ``mutate``; bytes that ``mutate``
+    returns are appended to the payload. A key ending in ``"\\x00"`` is
+    written without it, so that an object can repeat a key."""
+    blob = src.read_bytes()
+    magic, version, header_len = struct.unpack_from("<4sIQ", blob)
+    header = json.loads(blob[16:16 + header_len].decode())
+    payload = blob[16 + header_len:]
+    extra = mutate(header)
+    if isinstance(extra, bytes):
+        payload += extra
+    raw = json.dumps(header).replace(r'\u0000"', '"').encode()
+    raw += b" " * ((-len(raw)) % 8)
+    dst.write_bytes(struct.pack("<4sIQ", magic, version, len(raw)) + raw + payload)

@@ -1,5 +1,4 @@
 import json
-import struct
 
 import numpy as np
 import pytest
@@ -12,22 +11,12 @@ from svdlora.model import TinyModel
 from svdlora.storage import load_adapter_set, save_adapter_set
 from svdlora.train import evaluate
 
+from conftest import rewrite_header
+
 EASY = ["--task-seed", "5", "--classes", "2", "--separation", "8.0",
         "--epochs", "25"]
 OTHER = ["--task-seed", "6", "--classes", "3", "--separation", "8.0",
          "--epochs", "25"]
-
-
-def rewrite_header(src, dst, mutate):
-    """Copy ``src`` to ``dst`` with its JSON header changed by ``mutate``."""
-    blob = src.read_bytes()
-    magic, version, header_len = struct.unpack_from("<4sIQ", blob)
-    header = json.loads(blob[16:16 + header_len])
-    mutate(header)
-    raw = json.dumps(header).encode()
-    raw += b" " * ((-len(raw)) % 8)
-    dst.write_bytes(struct.pack("<4sIQ", magic, version, len(raw)) + raw
-                    + blob[16 + header_len:])
 
 
 @pytest.fixture(scope="module")

@@ -11,6 +11,8 @@ from svdlora.adapter import (AdapterSet, ModelSignature, SvdLoraAdapter,
 from svdlora.errors import CorruptionError, FormatError, NumericError
 from svdlora.merge import MergeConfig, MergeReport, TargetRecord
 
+from conftest import rewrite_header
+
 DUP = "\x00"
 
 
@@ -163,39 +165,24 @@ class TestCorruption:
         with pytest.raises(FormatError, match="supported"):
             storage.load_adapter_set(saved)
 
-    def _rewrite_header(self, saved, mutate):
-        """Rewrite the header with ``mutate``; bytes it returns are appended
-        to the payload. A key ending in ``DUP`` is written without it, so
-        that an object can repeat a key."""
-        blob = saved.read_bytes()
-        magic, version, header_len = struct.unpack_from("<4sIQ", blob)
-        header = json.loads(blob[16:16 + header_len].decode())
-        payload = blob[16 + header_len:]
-        extra = mutate(header)
-        if isinstance(extra, bytes):
-            payload += extra
-        raw = json.dumps(header).replace(r'\u0000"', '"').encode()
-        raw += b" " * ((-len(raw)) % 8)
-        saved.write_bytes(struct.pack("<4sIQ", magic, version, len(raw)) + raw + payload)
-
     def test_overlapping_directory(self, saved):
         def overlap(header):
             header["tensors"][1]["offset"] = header["tensors"][0]["offset"]
-        self._rewrite_header(saved, overlap)
+        rewrite_header(saved, saved, overlap)
         with pytest.raises(CorruptionError, match="overlap"):
             storage.load_adapter_set(saved)
 
     def test_out_of_bounds_entry(self, saved):
         def oob(header):
             header["tensors"][-1]["offset"] = 10**9
-        self._rewrite_header(saved, oob)
+        rewrite_header(saved, saved, oob)
         with pytest.raises(CorruptionError, match="bounds"):
             storage.load_adapter_set(saved)
 
     def test_shape_length_mismatch(self, saved):
         def bad_shape(header):
             header["tensors"][0]["shape"] = [1, 1]
-        self._rewrite_header(saved, bad_shape)
+        rewrite_header(saved, saved, bad_shape)
         with pytest.raises(CorruptionError, match="length"):
             storage.load_adapter_set(saved)
 
@@ -210,7 +197,7 @@ class TestCorruption:
     ], ids=["missing", "non-integer", "not-a-list", "float-dims", "float-offset",
             "bool-offset", "string-length"])
     def test_malformed_shape(self, saved, mutate):
-        self._rewrite_header(saved, lambda header: mutate(header["tensors"][0]))
+        rewrite_header(saved, saved, lambda header: mutate(header["tensors"][0]))
         with pytest.raises(CorruptionError, match="malformed directory entry"):
             storage.load_adapter_set(saved)
 
@@ -304,7 +291,7 @@ class TestCorruption:
             "repeated-tensors", "repeated-offset", "repeated-embed-dim",
             "non-positive-signature"])
     def test_inconsistent_header(self, saved, mutate, match):
-        self._rewrite_header(saved, mutate)
+        rewrite_header(saved, saved, mutate)
         with pytest.raises(CorruptionError, match=match):
             storage.load_adapter_set(saved)
 
@@ -343,7 +330,7 @@ class TestCorruption:
 
         def loads(mutate):
             saved.write_bytes(original)
-            self._rewrite_header(saved, mutate)
+            rewrite_header(saved, saved, mutate)
             try:
                 storage.load_adapter_set(saved)
             except CorruptionError:
@@ -396,12 +383,12 @@ class TestCorruption:
         non-finite head."""
         original = saved.read_bytes()
         self._poison(saved, "B")
-        self._rewrite_header(saved, self._head_bias_as_row)
+        rewrite_header(saved, saved, self._head_bias_as_row)
         with pytest.raises(NumericError, match="tensor layer0.Q.B"):
             storage.load_adapter_set(saved)
         saved.write_bytes(original)
         self._poison(saved, "head_w")
-        self._rewrite_header(saved, self._set_signature("embed_dim", 16))
+        rewrite_header(saved, saved, self._set_signature("embed_dim", 16))
         with pytest.raises(CorruptionError, match="layer0.Q has shape"):
             storage.load_adapter_set(saved)
 
@@ -409,7 +396,7 @@ class TestCorruption:
         def drop(header):
             dropped = header["tensors"].pop(0)  # a B tensor
             assert dropped["role"] == "B"
-        self._rewrite_header(saved, drop)
+        rewrite_header(saved, saved, drop)
         with pytest.raises(CorruptionError, match="incomplete"):
             storage.load_adapter_set(saved)
 

@@ -215,6 +215,21 @@ class TestGradients:
         _, failures = check_gradients(model, aset, x, y, reg_weight=0.1)
         assert not failures, f"blocks beyond tolerance: {failures}"
 
+    @pytest.mark.parametrize("kept", [("layer1.V",), ("layer0.Q", "layer1.Q"),
+                                      ("layer0.V",)])
+    def test_finite_difference_agreement_partial_set(self, model, kept):
+        # backward passes a slot without an adapter straight through its
+        # frozen projection; every other test trains a full Q/V set
+        full = randomized_set(model, num_classes=3, seed=103)
+        aset = AdapterSet(signature=full.signature,
+                          adapters={t: a for t, a in full.adapters.items() if str(t) in kept},
+                          head_w=full.head_w, head_b=full.head_b, metadata={})
+        assert sorted(map(str, aset.adapters)) == sorted(kept)
+        ds = generate_task(TaskSpec(task_seed=53, num_classes=3))
+        x, y = ds.train[0][:6], ds.train[1][:6]
+        _, failures = check_gradients(model, aset, x, y, reg_weight=0.1)
+        assert not failures, f"blocks beyond tolerance: {failures}"
+
     def test_zero_init_e_gradient_nonzero(self, model):
         cfg = TrainConfig(seed=4)
         aset = init_adapter_set(model, 3, cfg)
