@@ -270,13 +270,13 @@ class AdapterSet:
         view into the 1-D vector ``flat``, in :meth:`tensors` order, so
         in-place updates of ``flat`` update the set. ``flat`` must hold
         exactly as many elements as the set."""
-        blocks, offset = [], 0
+        starts, offset = [], 0
         for _, _, arr in self.tensors():
-            blocks.append(flat[offset:offset + arr.size].reshape(arr.shape))
+            starts.append((offset, arr))
             offset += arr.size
         if offset != flat.size:
             raise DimensionError(f"flat vector has {flat.size} elements, the set {offset}")
-        blocks = iter(blocks)
+        blocks = (flat[o:o + arr.size].reshape(arr.shape) for o, arr in starts)
         adapters = {t: SvdLoraAdapter(t, next(blocks), next(blocks), next(blocks))
                     for t in self.sorted_targets()}
         return AdapterSet(self.signature, adapters, next(blocks, None),

@@ -122,28 +122,6 @@ def init_adapter_set(model: TinyModel, num_classes: int,
     )
 
 
-class _Adam:
-    """Adam over one flat parameter vector: each step applies
-    theta - lr * mhat / (sqrt(vhat) + eps) to ``theta`` in place, because
-    the live adapter set is views into it.
-    """
-
-    def __init__(self, size: int, cfg: TrainConfig):
-        self.cfg = cfg
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
-        self.t = 0
-
-    def step(self, theta: np.ndarray, g: np.ndarray) -> None:
-        c = self.cfg
-        self.t += 1
-        bc1 = 1.0 - c.beta1 ** self.t
-        bc2 = 1.0 - c.beta2 ** self.t
-        self.m = c.beta1 * self.m + g * (1 - c.beta1)
-        self.v = c.beta2 * self.v + g * g * (1 - c.beta2)
-        theta -= self.m / bc1 * c.learning_rate / (np.sqrt(self.v / bc2) + c.adam_eps)
-
-
 def evaluate(model: TinyModel, adapters: AdapterSet,
              split: tuple[np.ndarray, np.ndarray],
              head: tuple[np.ndarray, np.ndarray] | None = None) -> float:
@@ -184,12 +162,15 @@ def train_adapter(model: TinyModel, spec: TaskSpec, cfg: TrainConfig,
     # theta is a copy of every trainable tensor in AdapterSet.tensors()
     # order, so init is never written. The set is rebuilt on views into it,
     # so Adam's in-place updates of theta are the live set's updates, and
-    # every step's gradients are written into a set on views into g.
+    # every step's gradients are written into a set on views into g. m and
+    # v are Adam's moment vectors, t its step count.
     theta = np.concatenate([arr.ravel() for _, _, arr in current.tensors()])
     current = current.on_flat(theta)
     g = np.zeros_like(theta)
     grads = current.on_flat(g)
-    opt = _Adam(theta.size, cfg)
+    m = np.zeros_like(theta)
+    v = np.zeros_like(theta)
+    t = 0
 
     x_train, y_train = dataset.train
     n = len(y_train)
@@ -213,7 +194,11 @@ def train_adapter(model: TinyModel, spec: TaskSpec, cfg: TrainConfig,
                 raise TrainingError(
                     f"non-finite loss at epoch {epoch}, step {batches}"
                 )
-            opt.step(theta, g)
+            t += 1
+            m = cfg.beta1 * m + g * (1 - cfg.beta1)
+            v = cfg.beta2 * v + g * g * (1 - cfg.beta2)
+            theta -= (m / (1.0 - cfg.beta1 ** t) * cfg.learning_rate
+                      / (np.sqrt(v / (1.0 - cfg.beta2 ** t)) + cfg.adam_eps))
             epoch_loss += value
             batches += 1
         train_losses.append(epoch_loss / batches)

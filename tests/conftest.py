@@ -44,15 +44,16 @@ def validate_svd(f, atol: float = 1e-9) -> None:
             raise NumericError(f"{label} columns not orthonormal (deviation {dev:.3e})")
 
 
-def rewrite_header(src, dst, mutate) -> None:
+def rewrite_header(src, dst, mutate, before: bytes = b"") -> None:
     """Copy the adapter file ``src`` to ``dst`` (which may be ``src``) with
-    its JSON header changed in place by ``mutate``; bytes that ``mutate``
-    returns are appended to the payload. A key ending in ``"\\x00"`` is
-    written without it, so that an object can repeat a key."""
+    its JSON header changed in place by ``mutate``; ``before`` is placed
+    ahead of the payload and bytes that ``mutate`` returns are appended to
+    it. A key ending in ``"\\x00"`` is written without it, so that an
+    object can repeat a key."""
     blob = src.read_bytes()
     magic, version, header_len = struct.unpack_from("<4sIQ", blob)
     header = json.loads(blob[16:16 + header_len].decode())
-    payload = blob[16 + header_len:]
+    payload = before + blob[16 + header_len:]
     extra = mutate(header)
     if isinstance(extra, bytes):
         payload += extra

@@ -65,6 +65,8 @@ class TestInit:
     def test_rank_too_large(self):
         with pytest.raises(ParameterError):
             ad.init_adapter(4, 8, 5, seed=0)
+        with pytest.raises(ParameterError, match="rank must be positive, got 0"):
+            ad.init_adapter(4, 8, 0, seed=0)
 
 
 class TestDelta:
@@ -212,6 +214,9 @@ class TestAdapterSet:
         a = ad.init_adapter(8, 8, 2, seed=0, target=ad.TargetId(5, "Q"))
         with pytest.raises(ModelError):
             make_set([a], layers=2)
+        with pytest.raises(ModelError, match="adapter keyed layer1.V carries target layer5.Q"):
+            ad.AdapterSet(signature=ad.ModelSignature(8, 6, "x"),
+                          adapters={ad.TargetId(1, "V"): a})
 
     @pytest.mark.parametrize("d_m, d_n", [(8, 8), (16, 8), (16, 12)])
     def test_adapter_shape_checked_against_signature(self, d_m, d_n):
@@ -224,6 +229,16 @@ class TestAdapterSet:
         with pytest.raises(DimensionError):
             ad.AdapterSet(signature=sig, adapters={},
                           head_w=np.zeros((4, 3)), head_b=np.zeros(3))
+        with pytest.raises(ModelError, match="head weight and bias must be given together"):
+            ad.AdapterSet(signature=sig, adapters={}, head_w=np.zeros((8, 3)))
+
+    @pytest.mark.parametrize("role", ["B", "E", "A"])
+    def test_factor_ranks_must_agree(self, role):
+        a = random_adapter(0)
+        factors = {"B": a.B, "E": a.E, "A": a.A}
+        factors[role] = factors[role][:, :2] if role == "B" else factors[role][:2]
+        with pytest.raises(DimensionError, match="inconsistent adapter shapes"):
+            ad.SvdLoraAdapter(target=ad.TargetId(0, "Q"), **factors)
 
     @pytest.mark.parametrize("role", ["B", "E", "A"])
     def test_non_finite_factor_named(self, role):

@@ -138,11 +138,19 @@ class TestMerge:
                   "--threshold", "1.5", "--out", str(tmp_path / "m.mlgo")])
         assert exc.value.code == 2
 
-    def test_missing_input_is_runtime_error(self, tmp_path, capsys):
+    def test_missing_input_is_runtime_error(self, workdir, tmp_path, capsys):
         code = main(["merge", "--inputs", str(tmp_path / "absent.mlgo"),
                      "--out", str(tmp_path / "m.mlgo")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+        # an output directory that does not exist fails at the write
+        code = main(["merge", "--inputs", str(workdir / "a.mlgo"),
+                     "--out", str(tmp_path / "absent" / "m.mlgo")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "Traceback" not in captured.err + captured.out
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: failed to write adapter file")
 
 
 class TestEval:
@@ -173,6 +181,17 @@ class TestEval:
         code = main(["eval", "--adapters", str(merged), "--task-seed", "5"])
         assert code == 1
         assert "head" in capsys.readouterr().err
+        # a head trained on another backbone
+        other = tmp_path / "other.mlgo"
+        rewrite_header(workdir / "a.mlgo", other, lambda h: h["model_signature"].update(
+            config_digest="0" * 16))
+        code = main(["eval", "--adapters", str(merged), "--head", str(other),
+                     "--task-seed", "5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "Traceback" not in captured.err + captured.out
+        [line] = captured.err.splitlines()
+        assert line == "error: adapter and head files disagree on the backbone signature"
 
 
 class TestGapDemo:

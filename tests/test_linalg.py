@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from svdlora import linalg
 from svdlora.adapter import svd_factors
-from svdlora.errors import ConvergenceError, NumericError, ParameterError
+from svdlora.errors import ConvergenceError, DimensionError, NumericError, ParameterError
 
 from conftest import validate_svd
 
@@ -58,6 +58,10 @@ class TestSvd:
     def test_non_finite_rejected(self):
         with pytest.raises(NumericError):
             linalg.svd(np.array([[np.inf, 1.0]]))
+        with pytest.raises(DimensionError, match=r"matrix must be 2-D, got shape \(3,\)"):
+            linalg.svd(np.ones(3))
+        with pytest.raises(DimensionError, match=r"must be non-empty, got shape \(0, 3\)"):
+            linalg.svd(np.ones((0, 3)))
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-170, 1.0, 1e200, 1e300])
     def test_extreme_scales_match_lapack(self, scale):
@@ -202,6 +206,8 @@ class TestTruncate:
 
     def test_max_rank_cap(self):
         assert linalg.truncate(self._factors([1.0, 1.0, 1.0]), 1.0, max_rank=2).rank == 2
+        with pytest.raises(ParameterError, match="max_rank must be positive, got 0"):
+            linalg.truncate(self._factors([1.0]), 1.0, max_rank=0)
 
     @pytest.mark.parametrize("v", [0.0, -0.1, 1.0001])
     def test_threshold_domain(self, v):

@@ -73,6 +73,10 @@ class TestMergeTarget:
     def test_empty_list(self):
         with pytest.raises(ParameterError):
             mg.merge_target([], mg.MergeConfig())
+        with pytest.raises(ParameterError, match="need at least one adapter set to merge"):
+            mg.merge_sets([], mg.MergeConfig())
+        with pytest.raises(ParameterError, match="need at least one adapter to merge"):
+            mg.baseline_pre_merge([])
 
     def test_retained_mass_bound(self):
         adapters = [random_adapter(i) for i in range(4)]

@@ -114,15 +114,11 @@ class TestRoundTrip:
         s = build_set(8)
         path = tmp_path / "u.mlgo"
         storage.save_adapter_set(s, path)
-        blob = path.read_bytes()
-        magic, version, header_len = struct.unpack_from("<4sIQ", blob)
-        header = json.loads(blob[16:16 + header_len])
-        for entry in header["tensors"]:
-            entry["offset"] += 3
-        raw = json.dumps(header).encode()
-        raw += b" " * ((-len(raw)) % 8)
-        path.write_bytes(struct.pack("<4sIQ", magic, version, len(raw)) + raw
-                         + b"\0\0\0" + blob[16 + header_len:])
+
+        def shift(header):
+            for entry in header["tensors"]:
+                entry["offset"] += 3
+        rewrite_header(path, path, shift, before=b"\0\0\0")
         loaded = storage.load_adapter_set(path)
         assert [(role, tid) for role, tid, _ in loaded.tensors()] == \
             [(role, tid) for role, tid, _ in s.tensors()]

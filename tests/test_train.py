@@ -10,7 +10,8 @@ import svdlora
 from svdlora import train
 from svdlora.adapter import AdapterSet, SvdLoraAdapter
 from svdlora.data import TaskSpec, generate_task
-from svdlora.errors import DataError, ModelError, ParameterError, TrainingError
+from svdlora.errors import (DataError, DimensionError, ModelError, ParameterError,
+                            TrainingError)
 from svdlora.model import TinyModel, cross_entropy, forward, orthogonality_penalty
 from svdlora.train import (TrainConfig, epochs_to_accuracy, evaluate,
                            gradients, init_adapter_set, loss, train_adapter)
@@ -92,6 +93,10 @@ class TestGenerateTask:
             TaskSpec(task_seed=0, num_classes=1)
         with pytest.raises(ParameterError):
             TaskSpec(task_seed=0, n_val=1, num_classes=4)
+        for name in ("seq_len", "embed_dim", "components"):
+            with pytest.raises(ParameterError,
+                               match="seq_len, embed_dim and components must be positive"):
+                TaskSpec(task_seed=0, **{name: 0})
         for bad in (float("nan"), float("inf"), -1.0):
             with pytest.raises(ParameterError, match="finite and non-negative"):
                 TaskSpec(task_seed=0, separation=bad)
@@ -129,6 +134,12 @@ class TestForward:
         x = np.zeros((1, 8, model.embed_dim))
         with pytest.raises(ModelError):
             forward(model, aset, x)
+        own = randomized_set(model)
+        headless = AdapterSet(signature=own.signature, adapters=own.adapters)
+        with pytest.raises(ModelError, match="has no head and none was supplied"):
+            forward(model, headless, x)
+        with pytest.raises(ModelError, match=r"batch shape \(1, 8, 5\) incompatible"):
+            forward(model, own, np.zeros((1, 8, 5)))
 
     def test_backbone_frozen(self, model):
         spec = TaskSpec(task_seed=5, num_classes=2, separation=10.0)
@@ -167,6 +178,8 @@ class TestLoss:
     def test_label_out_of_range(self):
         with pytest.raises(DataError):
             cross_entropy(np.zeros((2, 3)), np.array([0, 3]))
+        with pytest.raises(DataError, match=r"labels shape \(3,\) != \(2,\)"):
+            cross_entropy(np.zeros((2, 3)), np.array([0, 1, 2]))
 
 
 def fd_gradient(fun, arr, eps=1e-5):
@@ -230,6 +243,24 @@ class TestGradients:
         _, failures = check_gradients(model, aset, x, y, reg_weight=0.1)
         assert not failures, f"blocks beyond tolerance: {failures}"
 
+    def test_finite_difference_agreement_mixed_ranks(self, model):
+        # a set fine-tuned from a med-lego merge has a different rank on
+        # each target; the penalty and backward read each target's own rank
+        full = randomized_set(model, num_classes=3, seed=104)
+        rng = np.random.default_rng(104)
+        adapters = {t: SvdLoraAdapter(target=t,
+                                      B=0.3 * rng.standard_normal((model.embed_dim, r)),
+                                      E=rng.standard_normal(r),
+                                      A=0.3 * rng.standard_normal((r, model.embed_dim)))
+                    for t, r in zip(full.sorted_targets(), (1, 2, 4, 8))}
+        aset = AdapterSet(signature=full.signature, adapters=adapters,
+                          head_w=full.head_w, head_b=full.head_b, metadata={})
+        assert [a.rank for a in aset.adapters.values()] == [1, 2, 4, 8]
+        ds = generate_task(TaskSpec(task_seed=54, num_classes=3))
+        x, y = ds.train[0][:6], ds.train[1][:6]
+        _, failures = check_gradients(model, aset, x, y, reg_weight=0.1)
+        assert not failures, f"blocks beyond tolerance: {failures}"
+
     def test_zero_init_e_gradient_nonzero(self, model):
         cfg = TrainConfig(seed=4)
         aset = init_adapter_set(model, 3, cfg)
@@ -249,6 +280,10 @@ class TestGradients:
         assert [b.shape for b in blocks] == [arr.shape for _, _, arr in aset.tensors()]
         assert np.array_equal(flat, flatten(grads))
         assert all(np.shares_memory(flat, b) for b in blocks)
+        for size in (flat.size - 1, flat.size + 1):
+            with pytest.raises(DimensionError,
+                               match=f"flat vector has {size} elements, the set {flat.size}"):
+                aset.on_flat(np.zeros(size))
 
     def test_reused_gradset_is_overwritten(self, model):
         # train_adapter writes every step into one gradient set; stale
@@ -467,6 +502,8 @@ class TestConfig:
             TrainConfig(learning_rate=0.0)
         with pytest.raises(ParameterError):
             TrainConfig(rank=0)
+        with pytest.raises(ParameterError, match="regularizer weight must be non-negative"):
+            TrainConfig(reg_weight=-0.1)
         for field in ("learning_rate", "reg_weight"):
             for value in (float("nan"), float("inf")):
                 with pytest.raises(ParameterError, match=f"{field} must be finite"):
