@@ -15,38 +15,51 @@ files, digests, the training vector and its gradient (a set built by
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import linalg
-from .errors import DimensionError, ModelError, ParameterError
+from .errors import DimensionError, ModelError, NumericError, ParameterError
 
 SLOTS = ("Q", "V")
 
 INIT_STD = 0.02  # std of the Gaussian factors of a fresh adapter and head
 
 
-@dataclass(frozen=True, order=True)
-class TargetId:
-    """One adapted weight matrix: attention layer index plus Q or V slot."""
-
+class _TargetFields(NamedTuple):
     layer: int
     slot: str
 
-    def __post_init__(self):
-        if self.layer < 0:
-            raise ParameterError(f"layer index must be >= 0, got {self.layer}")
-        if self.slot not in SLOTS:
-            raise ParameterError(f"slot must be one of {SLOTS}, got {self.slot!r}")
+
+class TargetId(_TargetFields):
+    """One adapted weight matrix: attention layer index plus Q or V slot.
+
+    A named tuple, so hashing, equality and ``(layer, slot)`` order run in C;
+    the constructor checks both fields."""
+
+    __slots__ = ()
+
+    def __new__(cls, layer: int, slot: str) -> "TargetId":
+        if layer < 0:
+            raise ParameterError(f"layer index must be >= 0, got {layer}")
+        if slot not in SLOTS:
+            raise ParameterError(f"slot must be one of {SLOTS}, got {slot!r}")
+        return super().__new__(cls, layer, slot)
 
     def __str__(self) -> str:
         return f"layer{self.layer}.{self.slot}"
 
     @classmethod
+    @functools.lru_cache(maxsize=1024)
     def parse(cls, text: str) -> "TargetId":
-        """The target whose ``str`` is ``text``; other spellings raise ValueError."""
+        """The target whose ``str`` is ``text``; other spellings raise ValueError.
+
+        Memoized, as files name the same few targets again and again; a
+        spelling that raises is not remembered, so it raises every time."""
         layer, slot = text.split(".")
         tid = cls(layer=int(layer.removeprefix("layer")), slot=slot)
         if str(tid) != text:
@@ -69,10 +82,13 @@ class SvdLoraAdapter:
     A: np.ndarray  # (r, d_n)
 
     def __post_init__(self):
-        name = f"tensor {self.target}"
-        b = linalg.as_matrix(self.B, f"{name}.B")
-        e = linalg.as_matrix(self.E, f"{name}.E", ndim=1)
-        a = linalg.as_matrix(self.A, f"{name}.A")
+        try:
+            b = linalg.as_matrix(self.B, "B")
+            e = linalg.as_matrix(self.E, "E", ndim=1)
+            a = linalg.as_matrix(self.A, "A")
+        except (DimensionError, NumericError) as exc:
+            # The target is spelled out only for a factor that fails.
+            raise type(exc)(f"tensor {self.target}.{exc}") from None
         r = b.shape[1]
         if e.shape[0] != r or a.shape[0] != r:
             raise DimensionError(
@@ -135,10 +151,10 @@ def svd_factors(B: np.ndarray, E: np.ndarray, A: np.ndarray) -> linalg.SvdFactor
     qa, ra = np.linalg.qr(A.T)
     f = linalg.svd(_core(rb, E, ra))
     u, v = qb @ f.U, qa @ f.V
-    cols = np.arange(v.shape[1])
-    flip = v[np.argmax(np.abs(v), axis=0), cols] < 0
-    u[:, flip] *= -1.0
-    v[:, flip] *= -1.0
+    pivots = v[np.abs(v).argmax(axis=0), np.arange(v.shape[1])]
+    sign = np.where(pivots < 0, -1.0, 1.0)
+    u *= sign
+    v *= sign
     return linalg.SvdFactors(U=u, S=f.S, V=v)
 
 

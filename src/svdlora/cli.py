@@ -163,7 +163,7 @@ def cmd_inspect(args) -> int:
     print(f"param_fraction={fraction:.6f}")
     for tid in s.sorted_targets():
         a = s.adapters[tid]
-        top = ",".join(f"{v:.6g}" for v in spectrum(a.B, a.E, a.A))
+        top = ",".join(map("{:.6g}".format, spectrum(a.B, a.E, a.A).tolist()))
         print(f"{tid}: rank={a.rank} spectrum=[{top}]")
     if s.head_w is not None:
         print(f"head: shape={s.head_w.shape[0]}x{s.head_w.shape[1]}")
@@ -237,9 +237,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command. numpy's floating-point warnings are off while it
+    runs: a non-finite result that matters raises a typed error, which is
+    then the one line on stderr."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

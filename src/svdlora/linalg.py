@@ -14,6 +14,7 @@ starting basis, and a QR completes U where a singular value is exactly zero.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,7 +39,7 @@ def as_matrix(a, name: str = "matrix", ndim: int = 2) -> np.ndarray:
         raise DimensionError(f"{name} must be {ndim}-D, got shape {m.shape}")
     if m.size == 0:
         raise DimensionError(f"{name} must be non-empty, got shape {m.shape}")
-    if not np.isfinite(m).all():
+    if np.count_nonzero(np.isfinite(m)) != m.size:
         raise NumericError(f"{name} contains non-finite entries")
     return m
 
@@ -84,14 +85,28 @@ def _round_robin_rounds(n: int):
     return rounds
 
 
+@functools.cache
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row indices, column indices and flat indices into an ``n``-by-``n``
+    matrix of every column pair i < j, in row-major order (read-only,
+    shared by every call for ``n``)."""
+    ii, jj = np.triu_indices(n, 1)
+    flat = ii * n + jj
+    for idx in (ii, jj, flat):
+        idx.flags.writeable = False
+    return ii, jj, flat
+
+
 def _relative_gram(gram: np.ndarray) -> np.ndarray:
-    """``|g_ij| / sqrt(g_ii * g_jj)`` for every column pair i != j of a Gram
-    matrix, zero on the diagonal; pairs with a zero column count as orthogonal."""
-    norms = np.sqrt(np.diag(gram))
-    scale = np.outer(norms, norms)
-    rel = np.divide(np.abs(gram), scale, out=np.zeros_like(gram), where=scale > 0)
-    np.fill_diagonal(rel, 0.0)
-    return rel
+    """``|g_ij| / (sqrt(g_ii) * sqrt(g_jj))`` for every column pair i < j of a
+    Gram matrix, in :func:`_pairs` order; pairs with a zero column count as
+    orthogonal. A Gram product ``w.T @ w`` is exactly symmetric, so these
+    pairs hold every off-diagonal value."""
+    ii, jj, flat = _pairs(len(gram))
+    norms = np.sqrt(gram.diagonal())
+    scale = norms.take(ii) * norms.take(jj)
+    return np.divide(np.abs(gram.take(flat)), scale, out=np.zeros(len(flat)),
+                     where=scale > 0)
 
 
 def _rotation_tangent(a: np.ndarray, b: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -110,9 +125,12 @@ def _polish_rotation(gram: np.ndarray, rel: np.ndarray) -> np.ndarray | None:
     ``work @ (I + T)`` moves column i by ``-t_ij * work[:, j]`` and column j by
     ``t_ij * work[:, i]``, as the pairwise rotation does up to ``O(t**2)``.
     """
-    ii, jj = np.nonzero(np.triu(rel > _JACOBI_TOL, 1))
-    t = _rotation_tangent(gram[ii, ii], gram[jj, jj], gram[ii, jj])
-    if np.max(np.abs(t)) > _POLISH_MAX_TANGENT:
+    hot = rel > _JACOBI_TOL  # rel from _relative_gram(gram)
+    ii, jj, flat = _pairs(len(gram))
+    ii, jj, flat = ii[hot], jj[hot], flat[hot]
+    diag = gram.diagonal()
+    t = _rotation_tangent(diag.take(ii), diag.take(jj), gram.take(flat))
+    if np.abs(t).max() > _POLISH_MAX_TANGENT:
         return None
     r = np.eye(len(gram))
     r[ii, jj] = t
@@ -184,14 +202,15 @@ def svd(m: np.ndarray) -> SvdFactors:
     n = m.shape[1]
     gram = m.T @ m
     rel = _relative_gram(gram)
-    if rel.max() <= _JACOBI_TOL:
+    residual = rel.max(initial=0.0)
+    if residual <= _JACOBI_TOL:
         work, v = m, np.eye(n)  # no step will run, so work is only read
     else:
         v = np.linalg.eigh(gram)[1][:, ::-1].copy()
         work = m @ v
         gram = work.T @ work
         rel = _relative_gram(gram)
-    residual = float(rel.max())
+        residual = rel.max(initial=0.0)
     rounds = None
     steps = 0
     while residual > _JACOBI_TOL:
@@ -210,12 +229,12 @@ def svd(m: np.ndarray) -> SvdFactors:
         steps += 1
         gram = work.T @ work
         rel = _relative_gram(gram)
-        residual = float(rel.max())
+        residual = rel.max(initial=0.0)
 
     norms = np.sqrt(np.einsum("ij,ij->j", work, work))
     if math.frexp(norms.max())[1] + exp > _MAX_EXP:
         raise NumericError("singular values overflow float64")
-    order = np.argsort(-norms, kind="stable")
+    order = (-norms).argsort(kind="stable")
     norms = norms[order]
     u = work[:, order]
     v = v[:, order]

@@ -115,15 +115,15 @@ def _stacked_svd(adapters: list[SvdLoraAdapter], scale: float) -> linalg.SvdFact
 
     The stack has inner width sum_i r_i, which may exceed min(d_m, d_n).
     """
-    return svd_factors(np.hstack([a.B for a in adapters]),
+    return svd_factors(np.concatenate([a.B for a in adapters], axis=1),
                        scale * np.concatenate([a.E for a in adapters]),
-                       np.vstack([a.A for a in adapters]))
+                       np.concatenate([a.A for a in adapters]))
 
 
 def full_spectrum(s: np.ndarray, shape: tuple[int, int]) -> tuple[float, ...]:
     """Singular values ``s`` of a ``shape`` matrix, padded with exact zeros
     to min(d_m, d_n) entries."""
-    return tuple(float(v) for v in s) + (0.0,) * (min(shape) - len(s))
+    return tuple(s.tolist()) + (0.0,) * (min(shape) - len(s))
 
 
 def merge_target(adapters: list[SvdLoraAdapter],
@@ -153,13 +153,13 @@ def merge_target(adapters: list[SvdLoraAdapter],
             kept = drop_zeros(f)
         merged = from_svd(target, kept)
         s, kept_s = f.S, kept.S
-    total = float(np.sum(s))
+    total = float(s.sum())
     record = TargetRecord(
         target=target,
         input_ranks=tuple(a.rank for a in adapters),
         spectrum=full_spectrum(s, merged.shape),
         kept_rank=merged.rank,
-        retained_mass=float(np.sum(kept_s)) / total if total > 0 else 1.0,
+        retained_mass=float(kept_s.sum()) / total if total > 0 else 1.0,
     )
     return merged, record
 

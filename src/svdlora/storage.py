@@ -10,8 +10,10 @@ form) so identical merges write byte-identical files.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 import struct
 from pathlib import Path
 
@@ -24,6 +26,7 @@ from .merge import MergeReport
 MAGIC = b"MLGO"
 VERSION = 1
 _PREFIX = struct.Struct("<4sIQ")  # magic, version, header length
+_F8 = np.dtype("<f8")  # every tensor's payload type
 
 
 # --- canonical JSON -------------------------------------------------------
@@ -44,11 +47,17 @@ _ROLES = ("B", "E", "A", *_HEAD_NAMES)
 
 # The header's schema: each JSON object's exact keys, and the JSON types each
 # value may take. type() rather than isinstance() matches them, so that true
-# and false never pass as integers.
-_HEADER = {"model_signature": (dict,), "metadata": (dict,), "tensors": (list,)}
-_SIGNATURE = {"embed_dim": (int,), "num_layers": (int,), "config_digest": (str,)}
-_ENTRY = {"name": (str,), "role": (str,), "target": (str, type(None)),
-          "shape": (list,), "offset": (int,), "length": (int,)}
+# and false never pass as integers. Each schema is kept as its types, a getter
+# of its values in key order and every tuple of value types it allows.
+def _schema(**types) -> tuple:
+    return types, operator.itemgetter(*types), frozenset(itertools.product(*types.values()))
+
+
+_HEADER = _schema(model_signature=(dict,), metadata=(dict,), tensors=(list,))
+_SIGNATURE = _schema(embed_dim=(int,), num_layers=(int,), config_digest=(str,))
+_ENTRY = _schema(name=(str,), role=(str,), target=(str, type(None)), shape=(list,),
+                 offset=(int,), length=(int,))
+_SHAPE_TYPES = ((int,), (int, int))  # of a shape's dimensions: one or two integers
 
 
 def save_adapter_set(s: AdapterSet, path) -> None:
@@ -56,7 +65,7 @@ def save_adapter_set(s: AdapterSet, path) -> None:
     arrays = []
     offset = 0
     for role, target, arr in s.tensors():
-        arrays.append(np.ascontiguousarray(arr, dtype="<f8"))
+        arrays.append(np.ascontiguousarray(arr, dtype=_F8))
         length = arr.size * 8
         directory.append({
             "name": _HEAD_NAMES[role] if target is None else f"{target}.{role}",
@@ -84,15 +93,19 @@ def save_adapter_set(s: AdapterSet, path) -> None:
         raise OSError(f"failed to write adapter file {path}: {exc}") from exc
 
 
-def _fields(obj, schema: dict, where: str) -> list:
-    """``obj``'s values in ``schema`` order, once ``obj`` is a JSON object
-    with exactly ``schema``'s keys and each value of one of its types."""
-    if type(obj) is not dict or obj.keys() != schema.keys():
-        raise CorruptionError(f"{where}: keys are not {sorted(schema)}")
-    for key, types in schema.items():
-        if type(obj[key]) not in types:
-            raise CorruptionError(f"{where}: {key} has type {type(obj[key]).__name__}")
-    return [obj[key] for key in schema]
+def _fields(obj, schema: tuple, where: str, *args) -> tuple:
+    """``obj``'s values in ``schema``'s key order, once ``obj`` is a JSON
+    object with exactly ``schema``'s keys and each value of one of its types;
+    else CorruptionError, whose message starts with ``where.format(*args)``."""
+    types, values_of, allowed = schema
+    if type(obj) is not dict or obj.keys() != types.keys():
+        raise CorruptionError(f"{where.format(*args)}: keys are not {sorted(types)}")
+    values = values_of(obj)
+    if tuple(map(type, values)) not in allowed:
+        key = next(k for k, v in zip(types, values) if type(v) not in types[k])
+        raise CorruptionError(f"{where.format(*args)}: {key} has type "
+                              f"{type(obj[key]).__name__}")
+    return values
 
 
 def _check_header(header, payload_size: int, path):
@@ -100,19 +113,20 @@ def _check_header(header, payload_size: int, path):
     any tensor is read. Returns the signature's fields, the metadata and
     the directory as ``(role, target, shape, offset)``, where ``target`` is
     a :class:`TargetId`, or None for the head."""
-    sig, metadata, entries = _fields(header, _HEADER, f"{path}: malformed header")
-    _fields(sig, _SIGNATURE, f"{path}: malformed header: model_signature")
-    if not all(type(v) is str for v in metadata.values()):
+    sig, metadata, entries = _fields(header, _HEADER, "{}: malformed header", path)
+    _fields(sig, _SIGNATURE, "{}: malformed header: model_signature", path)
+    if not set(map(type, metadata.values())) <= {str}:
         raise CorruptionError(f"{path}: malformed header: a metadata value is no string")
     directory, seen, end = [], set(), 0
     for i, entry in enumerate(entries):
-        where = f"{path}: malformed directory entry {i}"
-        name, role, target, shape, offset, length = _fields(entry, _ENTRY, where)
+        name, role, target, shape, offset, length = _fields(
+            entry, _ENTRY, "{}: malformed directory entry {}", path, i)
         # One or two dimensions, none below 1: a shape that holds no element
         # could still name more than numpy can describe.
-        if not (1 <= len(shape) <= 2 and all(type(n) is int and n >= 1 for n in shape)):
-            raise CorruptionError(f"{where}: shape {shape} is not one or two positive "
-                                  "integers (a zero or negative dimension, or a non-integer)")
+        if tuple(map(type, shape)) not in _SHAPE_TYPES or min(shape) < 1:
+            raise CorruptionError(
+                f"{path}: malformed directory entry {i}: shape {shape} is not one or two "
+                "positive integers (a zero or negative dimension, or a non-integer)")
         if role not in _ROLES or (target is None) != (role in _HEAD_NAMES):
             raise CorruptionError(
                 f"{path}: entry {name}: {role!r} is not a role for target {target!r}")
@@ -120,9 +134,11 @@ def _check_header(header, payload_size: int, path):
             owner = None if target is None else TargetId.parse(target)
         except (ValueError, ToolkitError) as exc:
             raise CorruptionError(f"{path}: bad target {target!r} in entry {name}") from exc
-        if name in seen or (role, owner) in seen:
-            raise CorruptionError(f"{path}: duplicate {role} of {owner or 'the head'}: {name}")
-        seen.update((name, (role, owner)))
+        # A parsed target is spelled one way only, so its text stands for it.
+        slot = (role, target)
+        if name in seen or slot in seen:
+            raise CorruptionError(f"{path}: duplicate {role} of {target or 'the head'}: {name}")
+        seen.update((name, slot))
         if offset < end:
             raise CorruptionError(f"{path}: directory offsets overlap at {name}")
         end = offset + length
@@ -143,12 +159,16 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
+_HEADER_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def load_adapter_set(path) -> AdapterSet:
     """Load and fully validate an adapter file: FormatError for a bad magic
     or version, CorruptionError for a header that breaks the schema or for
     contents the constructors reject, except for their NumericError on a
     non-finite value, which stays a NumericError and gains the path."""
-    blob = Path(path).read_bytes()
+    with open(path, "rb") as fh:
+        blob = fh.read()
     if len(blob) < _PREFIX.size:
         raise CorruptionError(f"{path}: file shorter than header prefix")
     magic, version, header_len = _PREFIX.unpack_from(blob)
@@ -160,8 +180,7 @@ def load_adapter_set(path) -> AdapterSet:
     if start > len(blob):
         raise CorruptionError(f"{path}: declared header length {header_len} exceeds file")
     try:
-        header = json.loads(blob[_PREFIX.size:start].decode("utf-8"),
-                            object_pairs_hook=_unique_keys)
+        header = _HEADER_DECODER.decode(blob[_PREFIX.size:start].decode("utf-8"))
     except ValueError as exc:
         raise CorruptionError(f"{path}: malformed header: {exc}") from exc
     sig_fields, metadata, directory = _check_header(header, len(blob) - start, path)
@@ -172,8 +191,7 @@ def load_adapter_set(path) -> AdapterSet:
     per_target: dict[TargetId, dict[str, np.ndarray]] = {}
     head: dict[str, np.ndarray] = {}
     for role, target, shape, offset in directory:
-        arr = np.frombuffer(payload, dtype="<f8", count=math.prod(shape),
-                            offset=offset).reshape(shape)
+        arr = np.ndarray(shape, _F8, payload, offset)  # a view: shape, dtype, buffer, offset
         (head if target is None else per_target.setdefault(target, {}))[role] = arr
     for tid, parts in per_target.items():
         if len(parts) != 3:  # roles are unique per target, so B, E and A

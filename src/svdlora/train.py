@@ -18,7 +18,7 @@ import numpy as np
 from .adapter import (INIT_STD, SLOTS, AdapterSet, SvdLoraAdapter, TargetId,
                       init_adapter)
 from .data import Dataset, TaskSpec, generate_task
-from .errors import DataError, ParameterError, TrainingError
+from .errors import DataError, NumericError, ParameterError, TrainingError
 from .model import (TinyModel, backward, check_signature, cross_entropy, forward,
                     orthogonality_penalty)
 
@@ -128,7 +128,9 @@ def evaluate(model: TinyModel, adapters: AdapterSet,
     """Argmax accuracy on one split; ties break toward the lowest class.
 
     The forward pass runs over ``EVAL_CHUNK`` samples at a time, which keeps
-    its temporaries small and reused.
+    its temporaries small and reused. Logits that are not all finite (from
+    adapters too large for the forward pass) raise NumericError: an argmax
+    over NaN is no prediction.
     """
     x, y = split
     if len(y) == 0:
@@ -137,6 +139,9 @@ def evaluate(model: TinyModel, adapters: AdapterSet,
     for start in range(0, len(y), EVAL_CHUNK):
         stop = start + EVAL_CHUNK
         logits = forward(model, adapters, x[start:stop], head=head)
+        if not np.isfinite(logits).all():
+            raise NumericError(f"non-finite logits for samples {start} to "
+                               f"{min(stop, len(y)) - 1} of the split")
         hits += int(np.count_nonzero(np.argmax(logits, axis=1) == y[start:stop]))
     return hits / len(y)
 
@@ -197,6 +202,9 @@ def train_adapter(model: TinyModel, spec: TaskSpec, cfg: TrainConfig,
             t += 1
             m = cfg.beta1 * m + g * (1 - cfg.beta1)
             v = cfg.beta2 * v + g * g * (1 - cfg.beta2)
+            if not np.isfinite(v).all():  # a non-finite gradient, or its square
+                raise TrainingError(f"non-finite gradient or gradient square "
+                                    f"at epoch {epoch}, step {batches}")
             theta -= (m / (1.0 - cfg.beta1 ** t) * cfg.learning_rate
                       / (np.sqrt(v / (1.0 - cfg.beta2 ** t)) + cfg.adam_eps))
             epoch_loss += value

@@ -47,6 +47,16 @@ class TestTargetId:
         with pytest.raises(ParameterError):
             ad.TargetId(0, "K")
 
+    def test_parse_remembers_no_failure(self):
+        # parse is memoized; a spelling that failed fails again, also after
+        # the canonical spelling of the same target has parsed
+        assert ad.TargetId.parse("layer0.Q") == ad.TargetId(0, "Q")
+        for _ in range(2):
+            with pytest.raises(ValueError, match="not the spelling"):
+                ad.TargetId.parse("layer00.Q")
+            with pytest.raises(ParameterError, match="slot"):
+                ad.TargetId.parse("layer0.K")
+
 
 class TestInit:
     def test_e_zero(self):

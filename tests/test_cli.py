@@ -241,6 +241,41 @@ class TestNegativeSeed:
         assert not list(tmp_path.glob("x.mlgo*"))
 
 
+class TestNonFiniteResults:
+    """A non-finite result is a runtime failure: exit 1 and one ``error:``
+    line, with no numpy warning and no traceback on stderr."""
+
+    @staticmethod
+    def _eval_huge_merge(workdir, tmp_path):
+        # The merged factors are finite, so the file loads; the forward pass
+        # of adapters scaled by 1e200 is not.
+        merged = tmp_path / "huge.mlgo"
+        assert main(["merge", "--inputs", str(workdir / "a.mlgo"), str(workdir / "b.mlgo"),
+                     "--method", "task-arith", "--lambda", "1e200",
+                     "--out", str(merged)]) == 0
+        return ["eval", "--adapters", str(merged), "--head", str(workdir / "a.mlgo"),
+                "--task-seed", "5"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (_eval_huge_merge, "non-finite logits"),
+        (lambda w, t: ["train", "--reg", "1e200", "--epochs", "1",
+                       "--out", str(t / "x.mlgo")], "non-finite gradient or gradient square"),
+        (lambda w, t: ["train", "--lr", "1e300", "--epochs", "1",
+                       "--out", str(t / "x.mlgo")], "non-finite loss"),
+    ], ids=["eval-logits", "train-gradient-square", "train-loss"])
+    def test_exits_with_one_error_line(self, workdir, tmp_path, capsys, argv, message):
+        argv = argv(workdir, tmp_path)
+        capsys.readouterr()
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and message in line
+        assert "Warning" not in captured.err + captured.out
+        assert "Traceback" not in captured.err + captured.out
+        assert not list(tmp_path.glob("x.mlgo*"))
+
+
 class TestInspect:
     def test_reports_param_fraction(self, workdir, capsys):
         assert main(["inspect", "--input", str(workdir / "a.mlgo")]) == 0

@@ -139,6 +139,22 @@ class TestSvd:
                                    rtol=1e-12, atol=0)
         validate_svd(f)
 
+    def test_relative_gram_covers_every_pair(self):
+        # the pairs i < j hold every off-diagonal value because numpy forms
+        # w.T @ w exactly symmetric; checked against the full-matrix formula
+        rng = np.random.default_rng(41)
+        for n in (1, 2, 5, 28):
+            w = rng.standard_normal((40, n)) * 10.0 ** rng.uniform(-8, 0, n)
+            w[:, n // 2] = 0.0  # a zero column counts as orthogonal
+            gram = w.T @ w
+            assert np.array_equal(gram, gram.T)
+            norms = np.sqrt(np.diag(gram))
+            scale = np.outer(norms, norms)
+            full = np.divide(np.abs(gram), scale, out=np.zeros_like(gram), where=scale > 0)
+            np.fill_diagonal(full, 0.0)
+            ii, jj = np.triu_indices(n, 1)
+            assert np.array_equal(linalg._relative_gram(gram), full[ii, jj])
+
     def test_polish_counts_toward_the_cap(self, monkeypatch):
         monkeypatch.setattr(linalg, "_JACOBI_MAX_SWEEPS", 0)
         b, e, a = stacked_core(np.random.default_rng(29), graded=True)

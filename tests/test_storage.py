@@ -37,6 +37,21 @@ def build_set(seed=0, d=8, layers=2, rank=3, classes=4, with_head=True):
     )
 
 
+def assert_load_fails(path, error, match=None):
+    """Loading ``path`` raises ``error``, matching ``match``, and raises the
+    same type and message again after a valid file has loaded: a load keeps
+    no state, and no memo of a failure. Returns the first raise's info."""
+    with pytest.raises(error, match=match) as first:
+        storage.load_adapter_set(path)
+    valid = path.with_name("valid.mlgo")
+    storage.save_adapter_set(build_set(2), valid)
+    storage.load_adapter_set(valid)
+    with pytest.raises(error) as second:
+        storage.load_adapter_set(path)
+    assert (type(second.value), str(second.value)) == (type(first.value), str(first.value))
+    return first
+
+
 class TestRoundTrip:
     def test_bitwise_fidelity(self, tmp_path):
         s = build_set(7)
@@ -144,43 +159,37 @@ class TestCorruption:
     def test_truncated_payload(self, saved):
         blob = saved.read_bytes()
         saved.write_bytes(blob[:-50])
-        with pytest.raises(CorruptionError):
-            storage.load_adapter_set(saved)
+        assert_load_fails(saved, CorruptionError)
 
     def test_bad_magic(self, saved):
         blob = bytearray(saved.read_bytes())
         blob[:4] = b"NOPE"
         saved.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match="magic"):
-            storage.load_adapter_set(saved)
+        assert_load_fails(saved, FormatError, "magic")
 
     def test_future_version(self, saved):
         blob = bytearray(saved.read_bytes())
         struct.pack_into("<I", blob, 4, 2)
         saved.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match="supported"):
-            storage.load_adapter_set(saved)
+        assert_load_fails(saved, FormatError, "supported")
 
     def test_overlapping_directory(self, saved):
         def overlap(header):
             header["tensors"][1]["offset"] = header["tensors"][0]["offset"]
         rewrite_header(saved, saved, overlap)
-        with pytest.raises(CorruptionError, match="overlap"):
-            storage.load_adapter_set(saved)
+        assert_load_fails(saved, CorruptionError, "overlap")
 
     def test_out_of_bounds_entry(self, saved):
         def oob(header):
             header["tensors"][-1]["offset"] = 10**9
         rewrite_header(saved, saved, oob)
-        with pytest.raises(CorruptionError, match="bounds"):
-            storage.load_adapter_set(saved)
+        assert_load_fails(saved, CorruptionError, "bounds")
 
     def test_shape_length_mismatch(self, saved):
         def bad_shape(header):
             header["tensors"][0]["shape"] = [1, 1]
         rewrite_header(saved, saved, bad_shape)
-        with pytest.raises(CorruptionError, match="length"):
-            storage.load_adapter_set(saved)
+        assert_load_fails(saved, CorruptionError, "length")
 
     @pytest.mark.parametrize("mutate", [
         lambda entry: entry.pop("shape"),
@@ -194,8 +203,7 @@ class TestCorruption:
             "bool-offset", "string-length"])
     def test_malformed_shape(self, saved, mutate):
         rewrite_header(saved, saved, lambda header: mutate(header["tensors"][0]))
-        with pytest.raises(CorruptionError, match="malformed directory entry"):
-            storage.load_adapter_set(saved)
+        assert_load_fails(saved, CorruptionError, "malformed directory entry")
 
     @staticmethod
     def _retarget_layer0_q(target):
@@ -288,8 +296,7 @@ class TestCorruption:
             "non-positive-signature"])
     def test_inconsistent_header(self, saved, mutate, match):
         rewrite_header(saved, saved, mutate)
-        with pytest.raises(CorruptionError, match=match):
-            storage.load_adapter_set(saved)
+        assert_load_fails(saved, CorruptionError, match)
 
     def test_schema_mutation_sweep(self, saved):
         """Each field of the header, the signature and every directory entry
@@ -341,8 +348,7 @@ class TestCorruption:
         _, _, header_len = struct.unpack_from("<4sIQ", blob)
         struct.pack_into("<d", blob, 16 + header_len, float("nan"))
         saved.write_bytes(bytes(blob))
-        with pytest.raises(NumericError) as exc:
-            storage.load_adapter_set(saved)
+        exc = assert_load_fails(saved, NumericError)
         assert str(exc.value).startswith(f"{saved}: tensor layer0.Q.B contains non-finite")
 
     def test_nan_in_second_tensor_names_it(self, saved):
@@ -353,8 +359,7 @@ class TestCorruption:
         struct.pack_into("<d", blob, 16 + header_len + second["offset"] + 8,
                          float("inf"))
         saved.write_bytes(bytes(blob))
-        with pytest.raises(NumericError, match="tensor layer0.Q.E contains non-finite") as exc:
-            storage.load_adapter_set(saved)
+        exc = assert_load_fails(saved, NumericError, "tensor layer0.Q.E contains non-finite")
         assert str(exc.value).startswith(f"{saved}: ")
 
     def _poison(self, saved, role):
@@ -369,8 +374,7 @@ class TestCorruption:
     @pytest.mark.parametrize("role", ["head_w", "head_b"])
     def test_non_finite_head_names_it(self, saved, role):
         self._poison(saved, role)
-        with pytest.raises(NumericError, match=f"tensor {role} contains non-finite") as exc:
-            storage.load_adapter_set(saved)
+        exc = assert_load_fails(saved, NumericError, f"tensor {role} contains non-finite")
         assert str(exc.value).startswith(f"{saved}: ")
 
     def test_first_failed_check_wins(self, saved):
@@ -380,21 +384,18 @@ class TestCorruption:
         original = saved.read_bytes()
         self._poison(saved, "B")
         rewrite_header(saved, saved, self._head_bias_as_row)
-        with pytest.raises(NumericError, match="tensor layer0.Q.B"):
-            storage.load_adapter_set(saved)
+        assert_load_fails(saved, NumericError, "tensor layer0.Q.B")
         saved.write_bytes(original)
         self._poison(saved, "head_w")
         rewrite_header(saved, saved, self._set_signature("embed_dim", 16))
-        with pytest.raises(CorruptionError, match="layer0.Q has shape"):
-            storage.load_adapter_set(saved)
+        assert_load_fails(saved, CorruptionError, "layer0.Q has shape")
 
     def test_incomplete_target(self, saved):
         def drop(header):
             dropped = header["tensors"].pop(0)  # a B tensor
             assert dropped["role"] == "B"
         rewrite_header(saved, saved, drop)
-        with pytest.raises(CorruptionError, match="incomplete"):
-            storage.load_adapter_set(saved)
+        assert_load_fails(saved, CorruptionError, "incomplete")
 
 
 class TestCanonicalJson:
