@@ -38,36 +38,37 @@ def _fraction(text: str) -> float:
     return value
 
 
+# The task-spec fields an adapter file's metadata records, each with the type
+# it is read back as. An empty ``family_seed`` stands for None.
+_SPEC_FIELDS = (("task_seed", int), ("num_classes", int), ("components", int),
+                ("separation", float), ("noise", float), ("seq_len", int),
+                ("family_seed", int))
+
+
 def _spec_from_metadata(task_seed: int, num_classes: int, meta: dict) -> TaskSpec:
     """Rebuild the task spec a file was trained on; metadata wins only when
-    it refers to the requested task seed."""
+    it refers to the requested task seed, and never for the task seed and
+    class count the caller gives."""
     kwargs = dict(task_seed=task_seed, num_classes=num_classes)
     if str(meta.get("task_seed")) == str(task_seed):
-        fields = [("components", int), ("separation", float), ("noise", float),
-                  ("seq_len", int)]
-        if meta.get("family_seed") not in (None, "", "None"):
-            fields.append(("family_seed", int))
-        for key, conv in fields:
-            if key in meta:
-                try:
-                    kwargs[key] = conv(meta[key])
-                except ValueError as exc:
-                    raise ParameterError(
-                        f"metadata {key}={meta[key]!r} does not describe a task: {exc}"
-                    ) from exc
+        for key, conv in _SPEC_FIELDS:
+            if key in kwargs or key not in meta or (
+                    key == "family_seed" and meta[key] in (None, "", "None")):
+                continue
+            try:
+                kwargs[key] = conv(meta[key])
+            except ValueError as exc:
+                raise ParameterError(
+                    f"metadata {key}={meta[key]!r} does not describe a task: {exc}"
+                ) from exc
     return TaskSpec(**kwargs)
 
 
 def _task_metadata(spec: TaskSpec) -> dict:
-    return {
-        "task_seed": spec.task_seed,
-        "num_classes": spec.num_classes,
-        "components": spec.components,
-        "separation": spec.separation,
-        "noise": spec.noise,
-        "seq_len": spec.seq_len,
-        "family_seed": "" if spec.family_seed is None else spec.family_seed,
-    }
+    meta = {key: getattr(spec, key) for key, _ in _SPEC_FIELDS}
+    if spec.family_seed is None:
+        meta["family_seed"] = ""
+    return meta
 
 
 def cmd_train(args) -> int:

@@ -7,7 +7,7 @@ small sizes this toolkit works with. It starts from the eigenvectors of the
 Gram matrix, so the rotations only polish an already nearly orthogonal set of
 columns. When every pair's rotation is tiny, all of them are applied at once
 as one matrix product; a cluster of nearly equal singular values makes some
-rotation large, and then a round-robin sweep of pairwise rotations runs
+rotation large, and then a cyclic sweep of exact pairwise rotations runs
 instead. No LAPACK SVD driver is used; the symmetric eigensolver supplies the
 starting basis, and a QR completes U where a singular value is exactly zero.
 """
@@ -64,27 +64,6 @@ class SvdFactors:
         return (self.U * self.S) @ self.V.T
 
 
-def _round_robin_rounds(n: int):
-    """Tournament pairing: every unordered column pair exactly once per sweep,
-    as rounds of disjoint pairs so each round can be applied vectorized."""
-    players = list(range(n))
-    if n % 2 == 1:
-        players.append(-1)
-    half = len(players) // 2
-    rounds = []
-    for _ in range(len(players) - 1):
-        pairs = [
-            (players[i], players[-1 - i])
-            for i in range(half)
-            if players[i] != -1 and players[-1 - i] != -1
-        ]
-        if pairs:
-            rounds.append((np.array([p[0] for p in pairs], dtype=np.intp),
-                           np.array([p[1] for p in pairs], dtype=np.intp)))
-        players = [players[0]] + [players[-1]] + players[1:-1]
-    return rounds
-
-
 @functools.cache
 def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row indices, column indices and flat indices into an ``n``-by-``n``
@@ -112,7 +91,7 @@ def _relative_gram(gram: np.ndarray) -> np.ndarray:
 def _rotation_tangent(a: np.ndarray, b: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Rutishauser tangent of the rotation that makes a column pair with
     squared norms ``a``, ``b`` and inner product ``g != 0`` orthogonal:
-    |angle| <= pi/4, required for convergence under the parallel ordering."""
+    |angle| <= pi/4, the choice under which cyclic Jacobi converges."""
     tau = (b - a) / (2.0 * g)
     return np.where(tau >= 0, 1.0, -1.0) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
 
@@ -138,33 +117,20 @@ def _polish_rotation(gram: np.ndarray, rel: np.ndarray) -> np.ndarray | None:
     return r
 
 
-def _jacobi_sweep(work: np.ndarray, v: np.ndarray, rounds) -> None:
-    """One round-robin sweep of rotations over every non-orthogonal column
-    pair of ``work``, applied to ``v`` alike."""
-    for idx_i, idx_j in rounds:
-        ci = work[:, idx_i]
-        cj = work[:, idx_j]
-        a = np.einsum("ij,ij->j", ci, ci)
-        b = np.einsum("ij,ij->j", cj, cj)
-        g = np.einsum("ij,ij->j", ci, cj)
-        scale = np.sqrt(a * b)
-        rel = np.divide(np.abs(g), scale, out=np.zeros_like(g), where=scale > 0)
-        hot = rel > _JACOBI_TOL
-        if not np.any(hot):
+def _jacobi_sweep(work: np.ndarray, v: np.ndarray) -> None:
+    """One cyclic sweep: the exact rotation of each non-orthogonal column
+    pair of ``work``, in :func:`_pairs` order, applied to ``v`` alike."""
+    for i, j in zip(*_pairs(work.shape[1])[:2]):
+        cols = [i, j]
+        pair = work[:, cols]
+        gram = pair.T @ pair
+        if _relative_gram(gram)[0] <= _JACOBI_TOL:
             continue
-        t = _rotation_tangent(a[hot], b[hot], g[hot])
-        c = 1.0 / np.sqrt(1.0 + t * t)
-        s = c * t
-        ii = idx_i[hot]
-        jj = idx_j[hot]
-        wi = work[:, ii]
-        wj = work[:, jj]
-        work[:, ii] = c * wi - s * wj
-        work[:, jj] = s * wi + c * wj
-        vi = v[:, ii]
-        vj = v[:, jj]
-        v[:, ii] = c * vi - s * vj
-        v[:, jj] = s * vi + c * vj
+        t = _rotation_tangent(gram[0, 0], gram[1, 1], gram[0, 1])
+        c = 1.0 / math.sqrt(1.0 + t * t)
+        rot = np.array([[c, c * t], [-c * t, c]])
+        work[:, cols] = pair @ rot
+        v[:, cols] = v[:, cols] @ rot
 
 
 def svd(m: np.ndarray) -> SvdFactors:
@@ -186,7 +152,7 @@ def svd(m: np.ndarray) -> SvdFactors:
     pair's rotation tangent from the same Gram matrix. If all of them are at
     most ``_POLISH_MAX_TANGENT``, it applies them at once as ``I + T`` (the
     usual case: the warm start leaves tangents near 1e-10). Otherwise, as on
-    nearly repeated singular values, it runs one round-robin sweep of exact
+    nearly repeated singular values, it runs one cyclic sweep of exact
     pairwise rotations. Both kinds of step count toward
     ``_JACOBI_MAX_SWEEPS``.
     """
@@ -211,7 +177,6 @@ def svd(m: np.ndarray) -> SvdFactors:
         gram = work.T @ work
         rel = _relative_gram(gram)
         residual = rel.max(initial=0.0)
-    rounds = None
     steps = 0
     while residual > _JACOBI_TOL:
         if steps == _JACOBI_MAX_SWEEPS:
@@ -223,9 +188,7 @@ def svd(m: np.ndarray) -> SvdFactors:
             work = work @ r
             v = v @ r
         else:
-            if rounds is None:
-                rounds = _round_robin_rounds(n)
-            _jacobi_sweep(work, v, rounds)
+            _jacobi_sweep(work, v)
         steps += 1
         gram = work.T @ work
         rel = _relative_gram(gram)

@@ -1,8 +1,15 @@
+import contextlib
+import dataclasses
+import io
 import json
+import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from svdlora import train
 from svdlora.adapter import (AdapterSet, ModelSignature, TargetId, delta,
                              init_adapter)
 from svdlora.cli import build_parser, main
@@ -429,3 +436,102 @@ class TestUnfitFiles:
                 assert code == 1 and captured.err.startswith("error:"), name
             else:
                 assert code == 0 and not captured.err, name
+
+
+# Values a numeric flag draws: valid ones, bounds, and ones to refuse.
+NUMBERS = ("1", "2", "5", "0", "-1", str(2**65), "nan", "inf", "1e300", "1e-320", "")
+# Input and output paths by kind; the property test maps "@kind" to a file.
+FILES = ("@trained", "@merged", "@headless", "@corrupt", "@missing", "@directory", "")
+OUTS = ("@new", "@directory", "@missing", "")
+# Per command: the flags every argv carries (train's --epochs keeps a run to
+# at most 2 epochs) and the flags it may add; a flag without values takes
+# none. bench is left out: a valid bench argv runs for minutes.
+GRAMMAR = {
+    "train": ({"--epochs": ("1", "2", "0", "-1", "nan", ""), "--out": OUTS},
+              {flag: NUMBERS for flag in (
+                  "--task-seed", "--classes", "--components", "--separation", "--rank",
+                  "--lr", "--reg", "--seed", "--backbone-seed")}),
+    "merge": ({"--inputs": FILES, "--out": OUTS},
+              {"--method": ("med-lego", "pre-avg", "task-arith", ""),
+               "--threshold": NUMBERS, "--max-rank": NUMBERS, "--lambda": NUMBERS,
+               "--report": OUTS}),
+    "eval": ({"--adapters": FILES, "--task-seed": NUMBERS},
+             {"--head": FILES + ("embedded",), "--split": ("train", "val", "test", ""),
+              "--backbone-seed": NUMBERS}),
+    "gap-demo": ({}, {"--seed": NUMBERS, "--identical": ()}),
+    "inspect": ({"--input": FILES}, {}),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    required, optional = GRAMMAR[command]
+    extra = draw(st.lists(st.sampled_from(sorted(optional)), max_size=3, unique=True)
+                 if optional else st.just([]))
+    values_of = {**required, **optional}
+    argv = [command]
+    for flag in [*required, *extra]:
+        values = values_of[flag]
+        argv.append(flag)
+        if flag == "--inputs":
+            argv += draw(st.lists(st.sampled_from(values), min_size=1, max_size=3))
+        elif values:
+            argv.append(draw(st.sampled_from(values)))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(workdir, tmp_path_factory):
+    """The path of each "@kind" in :data:`FILES` and :data:`OUTS`."""
+    d = tmp_path_factory.mktemp("fuzz")
+    trained = workdir / "a.mlgo"
+    assert main(["merge", "--inputs", str(trained), str(workdir / "b.mlgo"),
+                 "--out", str(d / "merged.mlgo")]) == 0
+    s = load_adapter_set(trained)
+    save_adapter_set(dataclasses.replace(s, head_w=None, head_b=None), d / "headless.mlgo")
+    rewrite_header(trained, d / "corrupt.mlgo",
+                   lambda h: h["tensors"][0].__setitem__("shape", [-1]))
+    return {"@trained": str(trained), "@merged": str(d / "merged.mlgo"),
+            "@headless": str(d / "headless.mlgo"), "@corrupt": str(d / "corrupt.mlgo"),
+            "@missing": str(d / "absent" / "x.mlgo"), "@directory": str(d),
+            "@new": str(d / "new.mlgo")}
+
+
+class TestArgvProperty:
+    """Any argv from :data:`GRAMMAR` ends in a usage error (2), a runtime
+    failure with one ``error:`` line (1) or success (0), never with a
+    traceback or a warning; an ``eval`` that succeeds printed an accuracy
+    from finite logits."""
+
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(argv=cli_argv())
+    def test_exits_cleanly(self, fuzz_files, argv):
+        argv = [fuzz_files.get(token, token) for token in argv]
+        finite = []  # per forward pass of an eval: were all logits finite?
+        model_forward = train.forward
+
+        def forward(*args, **kwargs):
+            logits = model_forward(*args, **kwargs)
+            finite.append(bool(np.isfinite(logits).all()))
+            return logits
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                pytest.MonkeyPatch.context() as mp:
+            warnings.simplefilter("always")
+            if argv[0] == "eval":
+                mp.setattr(train, "forward", forward)
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        err = err.getvalue()
+        assert code in (0, 1, 2)
+        assert not caught and "Traceback" not in err and "Warning" not in err
+        if code == 1:
+            [line] = err.splitlines()
+            assert line.startswith("error: ")
+        if code == 0 and argv[0] == "eval":
+            assert re.fullmatch(r"acc=[01]\.\d{4}\n", out.getvalue())
+            assert finite and all(finite)

@@ -112,7 +112,7 @@ class TestSvd:
         # inexact but every rotation tangent tiny, so one simultaneous
         # rotation converges and no sweep runs
         def no_sweep(*args):
-            raise AssertionError("round-robin sweep ran")
+            raise AssertionError("Jacobi sweep ran")
         monkeypatch.setattr(linalg, "_jacobi_sweep", no_sweep)
         b, e, a = stacked_core(np.random.default_rng(29), graded=True)
         f = svd_factors(b, e, a)
@@ -120,24 +120,33 @@ class TestSvd:
         np.testing.assert_allclose(f.S, expected, rtol=1e-12, atol=0)
         validate_svd(f)
 
-    def test_clustered_spectrum_falls_back_to_sweep(self, monkeypatch):
+    @pytest.mark.parametrize("rows, cols, zero_cols", [
+        (12, 12, 0), (30, 12, 0), (12, 30, 0), (30, 12, 2)],
+        ids=["square", "tall", "wide", "tall-zero-columns"])
+    def test_clustered_spectrum_falls_back_to_sweep(self, monkeypatch, rows, cols,
+                                                    zero_cols):
         # the two smallest singular values are 1e-9 apart: the squared
-        # problem cannot separate them, so their rotation is large
+        # problem cannot separate them, so their rotation is large; a wide
+        # input takes the transpose path, and zero columns must stay exact
         sweeps = []
         sweep = linalg._jacobi_sweep
         monkeypatch.setattr(linalg, "_jacobi_sweep",
                             lambda *args: (sweeps.append(1), sweep(*args)))
         rng = np.random.default_rng(37)
-        u, _ = np.linalg.qr(rng.standard_normal((12, 12)))
-        v, _ = np.linalg.qr(rng.standard_normal((12, 12)))
-        s = np.logspace(0, -3, 12)
+        k = min(rows, cols)
+        u, _ = np.linalg.qr(rng.standard_normal((rows, k)))
+        v, _ = np.linalg.qr(rng.standard_normal((cols, k)))
+        s = np.logspace(0, -3, k)
         s[-1] = s[-2] - 1e-9
-        m = (u * s) @ v.T
+        m = np.hstack([(u * s) @ v.T, np.zeros((rows, zero_cols))])
         f = linalg.svd(m)
         assert sweeps
         np.testing.assert_allclose(f.S, np.linalg.svd(m, compute_uv=False),
                                    rtol=1e-12, atol=0)
+        np.testing.assert_allclose(f.reconstruct(), m, rtol=0, atol=1e-12)
         validate_svd(f)
+        if zero_cols:
+            assert np.count_nonzero(f.S == 0.0) == zero_cols
 
     def test_relative_gram_covers_every_pair(self):
         # the pairs i < j hold every off-diagonal value because numpy forms
