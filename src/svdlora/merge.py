@@ -133,17 +133,23 @@ def merge_target(adapters: list[SvdLoraAdapter],
     med-lego: SVD of the mean delta from the stacked factors, truncated so
     the kept singular values carry at least ``threshold_v`` of the singular
     mass. task-arith: SVD of ``lam * sum_i delta_i`` (lam defaults to 1/N)
-    from the same stack, every non-zero component kept. pre-avg: the
-    factor-wise average, whose singular values serve the record only. Input ranks may
-    differ except for pre-avg. The record's spectrum is that of the merged
-    delta before any cut; its kept rank is the returned adapter's rank.
+    from the same stack, every non-zero component kept. pre-avg: B, E and A
+    each averaged, which needs equal input ranks; its singular values serve
+    the record only. The record's spectrum is that of the merged delta
+    before any cut; its kept rank is the returned adapter's rank.
     """
     if not adapters:
         raise ParameterError("need at least one adapter to merge")
     _check_same_shape(adapters)
     target = adapters[0].target
     if cfg.method is MergeMethod.PRE_MERGE_AVERAGE:
-        merged = baseline_pre_merge(adapters)
+        ranks = {a.rank for a in adapters}
+        if len(ranks) > 1:
+            raise MergeError(f"pre-merge averaging needs equal ranks, got {sorted(ranks)}")
+        n = len(adapters)
+        merged = SvdLoraAdapter(target=target, B=sum(a.B for a in adapters) / n,
+                                E=sum(a.E for a in adapters) / n,
+                                A=sum(a.A for a in adapters) / n)
         s = kept_s = spectrum(merged.B, merged.E, merged.A)
     else:
         f = _stacked_svd(adapters, 1.0 / len(adapters) if cfg.lam is None else cfg.lam)
@@ -210,28 +216,6 @@ def merge_sets(sets: list[AdapterSet],
     return out, report
 
 
-def baseline_pre_merge(adapters: list[SvdLoraAdapter]) -> SvdLoraAdapter:
-    """Average B, E, A factor-wise before multiplying.
-
-    Requires identical ranks; unlike the SVD route this baseline cannot
-    fuse adapters of different ranks, and its delta generally differs from
-    the average of the input deltas.
-    """
-    if not adapters:
-        raise ParameterError("need at least one adapter to merge")
-    _check_same_shape(adapters)
-    ranks = {a.rank for a in adapters}
-    if len(ranks) > 1:
-        raise MergeError(f"pre-merge averaging needs equal ranks, got {sorted(ranks)}")
-    n = len(adapters)
-    return SvdLoraAdapter(
-        target=adapters[0].target,
-        B=sum(a.B for a in adapters) / n,
-        E=sum(a.E for a in adapters) / n,
-        A=sum(a.A for a in adapters) / n,
-    )
-
-
 # perfbench's tracer binds the two wrappers below by name.
 def baseline_pre_merge_sets(sets: list[AdapterSet]) -> AdapterSet:
     """``merge_sets`` with factor-wise averaging, without the report."""
@@ -250,7 +234,8 @@ def premerge_postmerge_gap(adapters: list[SvdLoraAdapter]) -> float:
     Zero for identical inputs, generically positive otherwise: averaging
     factors does not commute with multiplying them out.
     """
-    pre = delta(baseline_pre_merge(adapters))
+    pre = delta(merge_target(
+        adapters, MergeConfig(method=MergeMethod.PRE_MERGE_AVERAGE))[0])
     post = sum(delta(a) for a in adapters) / len(adapters)
     d = pre - post
     return float(np.sqrt(np.sum(d * d)))

@@ -2,13 +2,18 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import svdlora
 from svdlora import train
 from svdlora.adapter import (AdapterSet, ModelSignature, TargetId, delta,
                              init_adapter)
@@ -32,6 +37,23 @@ def workdir(tmp_path_factory):
     assert main(["train", *EASY, "--out", str(d / "a.mlgo")]) == 0
     assert main(["train", *OTHER, "--out", str(d / "b.mlgo")]) == 0
     return d
+
+
+def fails_cleanly(argv, capsys, message=""):
+    """Run ``argv`` in process and check the CLI's failure contract: exit
+    1 and one ``error: `` line on stderr that contains ``message``, with no
+    traceback and no warning. Returns that line."""
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    captured = capsys.readouterr()
+    shown = captured.err + captured.out
+    assert code == 1 and not caught, argv
+    assert "Traceback" not in shown and "Warning" not in shown, argv
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and message in line, argv
+    return line
 
 
 class TestParser:
@@ -124,10 +146,10 @@ class TestMerge:
             ("pre-avg", ["--max-rank", "1"], "-max-rank"),
             ("pre-avg", ["--threshold", "0.9"], "-threshold")]])
     def test_lambda_needs_task_arithmetic(self, workdir, tmp_path, capsys, method, flag):
-        code = main(["merge", "--inputs", str(workdir / "a.mlgo"), "--method", method,
-                     *flag, "--out", str(tmp_path / "m.mlgo")])
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
+        fails_cleanly(["merge", "--inputs", str(workdir / "a.mlgo"), "--method", method,
+                       *flag, "--out", str(tmp_path / "m.mlgo")], capsys,
+                      "lambda applies to task-arith only" if flag[0] == "--lambda"
+                      else "threshold and max_rank apply to med-lego only")
         assert not (tmp_path / "m.mlgo").exists()
 
     def test_huge_lambda_merges(self, workdir, tmp_path, capsys):
@@ -146,18 +168,20 @@ class TestMerge:
         assert exc.value.code == 2
 
     def test_missing_input_is_runtime_error(self, workdir, tmp_path, capsys):
-        code = main(["merge", "--inputs", str(tmp_path / "absent.mlgo"),
-                     "--out", str(tmp_path / "m.mlgo")])
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
+        out, absent = tmp_path / "m.mlgo", tmp_path / "absent"
+        fails_cleanly(["merge", "--inputs", str(tmp_path / "absent.mlgo"),
+                       "--out", str(out)], capsys, str(tmp_path / "absent.mlgo"))
+        assert not out.exists()
         # an output directory that does not exist fails at the write
-        code = main(["merge", "--inputs", str(workdir / "a.mlgo"),
-                     "--out", str(tmp_path / "absent" / "m.mlgo")])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert "Traceback" not in captured.err + captured.out
-        [line] = captured.err.splitlines()
+        line = fails_cleanly(["merge", "--inputs", str(workdir / "a.mlgo"),
+                              "--out", str(absent / "m.mlgo")], capsys)
         assert line.startswith("error: failed to write adapter file")
+        # so does a report directory that does not exist, after the merged
+        # file is written: the merge leaves no merged file behind
+        fails_cleanly(["merge", "--inputs", str(workdir / "a.mlgo"), str(workdir / "b.mlgo"),
+                       "--out", str(out), "--report", str(absent / "r.json")], capsys,
+                      str(absent / "r.json"))
+        assert not out.exists()
 
 
 class TestEval:
@@ -185,20 +209,15 @@ class TestEval:
         merged = tmp_path / "m.mlgo"
         main(["merge", "--inputs", str(workdir / "a.mlgo"), str(workdir / "b.mlgo"),
               "--out", str(merged)])
-        code = main(["eval", "--adapters", str(merged), "--task-seed", "5"])
-        assert code == 1
-        assert "head" in capsys.readouterr().err
+        fails_cleanly(["eval", "--adapters", str(merged), "--task-seed", "5"], capsys,
+                      "no classifier head available; pass --head FILE")
         # a head trained on another backbone
         other = tmp_path / "other.mlgo"
         rewrite_header(workdir / "a.mlgo", other, lambda h: h["model_signature"].update(
             config_digest="0" * 16))
-        code = main(["eval", "--adapters", str(merged), "--head", str(other),
-                     "--task-seed", "5"])
-        captured = capsys.readouterr()
-        assert code == 1
-        assert "Traceback" not in captured.err + captured.out
-        [line] = captured.err.splitlines()
-        assert line == "error: adapter and head files disagree on the backbone signature"
+        assert fails_cleanly(["eval", "--adapters", str(merged), "--head", str(other),
+                              "--task-seed", "5"], capsys) == \
+            "error: adapter and head files disagree on the backbone signature"
 
 
 class TestGapDemo:
@@ -240,11 +259,7 @@ class TestNegativeSeed:
     ], ids=["train-seed", "train-task-seed", "train-backbone-seed", "eval-task-seed",
             "eval-backbone-seed", "gap-demo-seed", "eval-metadata-family-seed"])
     def test_exits_with_one_error_line(self, workdir, tmp_path, capsys, argv):
-        code = main(argv(workdir, tmp_path))
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
-        assert "non-negative" in captured.err
+        fails_cleanly(argv(workdir, tmp_path), capsys, "non-negative")
         assert not list(tmp_path.glob("x.mlgo*"))
 
 
@@ -271,15 +286,7 @@ class TestNonFiniteResults:
                        "--out", str(t / "x.mlgo")], "non-finite loss"),
     ], ids=["eval-logits", "train-gradient-square", "train-loss"])
     def test_exits_with_one_error_line(self, workdir, tmp_path, capsys, argv, message):
-        argv = argv(workdir, tmp_path)
-        capsys.readouterr()
-        code = main(argv)
-        captured = capsys.readouterr()
-        assert code == 1
-        [line] = captured.err.splitlines()
-        assert line.startswith("error: ") and message in line
-        assert "Warning" not in captured.err + captured.out
-        assert "Traceback" not in captured.err + captured.out
+        fails_cleanly(argv(workdir, tmp_path), capsys, message)
         assert not list(tmp_path.glob("x.mlgo*"))
 
 
@@ -313,17 +320,14 @@ class TestInspect:
 
     @staticmethod
     def _every_command_fails(bad, good, tmp_path, capsys):
-        """inspect, merge and eval each exit 1 on ``bad`` with a one-line
-        error and no traceback."""
+        """inspect, merge and eval each fail cleanly on ``bad``."""
         for argv in (["inspect", "--input", str(bad)],
                      ["merge", "--inputs", str(bad), str(good),
                       "--out", str(tmp_path / "m.mlgo")],
                      ["eval", "--adapters", str(bad), "--head", "embedded",
                       "--task-seed", "5"]):
-            assert main(argv) == 1, argv[0]
-            captured = capsys.readouterr()
-            assert "error:" in captured.err, argv[0]
-            assert "Traceback" not in captured.err + captured.out, argv[0]
+            fails_cleanly(argv, capsys)
+        assert not (tmp_path / "m.mlgo").exists()
 
     def test_corrupt_file_is_runtime_error(self, workdir, tmp_path, capsys):
         bad = tmp_path / "bad.mlgo"
@@ -429,13 +433,33 @@ class TestUnfitFiles:
                           "--task-seed", "5"],
         }
         for name, argv in commands.items():
+            if name in reads_unfit:
+                fails_cleanly(argv, capsys)
+                continue
             code = main(argv)
             captured = capsys.readouterr()
-            assert "Traceback" not in captured.err + captured.out, name
-            if name in reads_unfit:
-                assert code == 1 and captured.err.startswith("error:"), name
-            else:
-                assert code == 0 and not captured.err, name
+            assert code == 0 and not captured.err and "Traceback" not in captured.out, name
+
+
+class TestModuleEntryPoint:
+    """``python -m svdlora`` runs :func:`main` in a fresh interpreter and
+    exits with its code."""
+
+    @staticmethod
+    def _run(*argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(svdlora.__file__).parents[1]))
+        return subprocess.run([sys.executable, "-m", "svdlora", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_success_exits_zero(self):
+        run = self._run("gap-demo", "--identical")
+        assert (run.returncode, run.stdout, run.stderr) == (0, "gap=0\n", "")
+
+    def test_failure_exits_one_with_one_error_line(self, tmp_path):
+        run = self._run("inspect", "--input", str(tmp_path / "absent.mlgo"))
+        assert run.returncode == 1 and not run.stdout
+        [line] = run.stderr.splitlines()
+        assert line.startswith("error: ") and "absent.mlgo" in line
 
 
 # Values a numeric flag draws: valid ones, bounds, and ones to refuse.

@@ -34,6 +34,17 @@ def make_set(seed, sig=None, d=8, layers=1):
     return AdapterSet(signature=sig, adapters=adapters)
 
 
+PRE_AVG = mg.MergeConfig(method=mg.MergeMethod.PRE_MERGE_AVERAGE)
+ARITH = mg.MergeMethod.TASK_ARITHMETIC
+
+
+def factor_mean(adapters):
+    """The dense delta of the inputs' mean B, mean E and mean A."""
+    n = len(adapters)
+    return ((sum(a.B for a in adapters) / n) * (sum(a.E for a in adapters) / n)
+            @ (sum(a.A for a in adapters) / n))
+
+
 class TestMergeTarget:
     def test_identical_inputs_preserved(self):
         a = canonicalize(random_adapter(1))
@@ -76,7 +87,7 @@ class TestMergeTarget:
         with pytest.raises(ParameterError, match="need at least one adapter set to merge"):
             mg.merge_sets([], mg.MergeConfig())
         with pytest.raises(ParameterError, match="need at least one adapter to merge"):
-            mg.baseline_pre_merge([])
+            mg.merge_target([], PRE_AVG)
 
     def test_retained_mass_bound(self):
         adapters = [random_adapter(i) for i in range(4)]
@@ -108,8 +119,7 @@ class TestMergeTarget:
         references = {mg.MergeMethod.MED_LEGO: (mean, sum(ranks)),
                       mg.MergeMethod.TASK_ARITHMETIC: (mean, sum(ranks))}
         if len(set(ranks)) == 1:
-            references[mg.MergeMethod.PRE_MERGE_AVERAGE] = (
-                delta(mg.baseline_pre_merge(adapters)), ranks[0])
+            references[mg.MergeMethod.PRE_MERGE_AVERAGE] = (factor_mean(adapters), ranks[0])
         for method, (want, width) in references.items():
             merged, rec = mg.merge_target(adapters, mg.MergeConfig(method=method))
             sigma = np.linalg.svd(want, compute_uv=False)
@@ -192,7 +202,7 @@ class TestMergeSets:
             elif method is mg.MergeMethod.TASK_ARITHMETIC:
                 want = (1 / len(sets) if lam is None else lam) * sum(map(delta, inputs))
             else:
-                want = delta(mg.baseline_pre_merge(inputs))
+                want = factor_mean(inputs)
             assert np.linalg.norm(delta(a) - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_report_records_sorted_by_target(self):
@@ -205,7 +215,7 @@ class TestMergeSets:
 class TestPreMergeBaseline:
     def test_identical_inputs(self):
         a = random_adapter(5)
-        out = mg.baseline_pre_merge([a, a])
+        out, _ = mg.merge_target([a, a], PRE_AVG)
         np.testing.assert_allclose(delta(out), delta(a), atol=1e-12)
 
     def test_component_average(self):
@@ -214,29 +224,29 @@ class TestPreMergeBaseline:
         a_mat = rng.standard_normal((2, 8))
         a1 = SvdLoraAdapter(target=TargetId(0, "Q"), B=b, E=np.array([1.0, 0.0]), A=a_mat)
         a2 = SvdLoraAdapter(target=TargetId(0, "Q"), B=b, E=np.array([0.0, 1.0]), A=a_mat)
-        out = mg.baseline_pre_merge([a1, a2])
+        out, _ = mg.merge_target([a1, a2], PRE_AVG)
         np.testing.assert_allclose(out.E, [0.5, 0.5])
 
     def test_rank_mismatch_rejected(self):
         with pytest.raises(MergeError, match="rank"):
-            mg.baseline_pre_merge([random_adapter(1, r=2), random_adapter(2, r=3)])
+            mg.merge_target([random_adapter(1, r=2), random_adapter(2, r=3)], PRE_AVG)
 
 
 class TestTaskArithmetic:
     def test_identity_at_inverse_count(self):
         sets = [make_set(4)] * 3
-        out = mg.baseline_task_arithmetic(sets, lam=None)
+        out = mg.merge_sets(sets, mg.MergeConfig(method=ARITH))[0]
         for t, a in sets[0].adapters.items():
             np.testing.assert_allclose(delta(out.adapters[t]), delta(a), atol=1e-12)
 
     def test_zero_lambda(self):
-        out = mg.baseline_task_arithmetic([make_set(1)], lam=0.0)
+        out = mg.merge_sets([make_set(1)], mg.MergeConfig(method=ARITH, lam=0.0))[0]
         assert all(np.array_equal(delta(a), np.zeros(a.shape))
                    for a in out.adapters.values())
 
     def test_matches_pre_truncation_average(self):
         sets = [make_set(1), make_set(2)]
-        out = mg.baseline_task_arithmetic(sets, lam=0.5)
+        out = mg.merge_sets(sets, mg.MergeConfig(method=ARITH, lam=0.5))[0]
         for t, a in out.adapters.items():
             avg = (delta(sets[0].adapters[t]) + delta(sets[1].adapters[t])) / 2
             assert np.linalg.norm(delta(a) - avg) <= 1e-12 * np.linalg.norm(avg)
@@ -245,7 +255,7 @@ class TestTaskArithmetic:
     def test_canonical_low_rank_scaled_sum(self, lam):
         # three rank-4 sets at d=8: the stacked width 12 exceeds d
         sets = [make_set(i) for i in range(3)]
-        out = mg.baseline_task_arithmetic(sets, lam=lam)
+        out = mg.merge_sets(sets, mg.MergeConfig(method=ARITH, lam=lam))[0]
         assert out.head_w is None
         assert out.metadata["method"] == "task-arith"
         for t, a in out.adapters.items():
@@ -422,12 +432,10 @@ class TestDenseOracle:
         # included) and n - 1 fresh inputs of its rank
         same = [inputs[0]] + [adapter(rng.standard_normal(len(inputs[0].E)))
                               for _ in range(n - 1)]
-        factor_mean = ((sum(a.B for a in same) / n) * (sum(a.E for a in same) / n)
-                       @ (sum(a.A for a in same) / n))
-        s_pre = np.linalg.svd(factor_mean, compute_uv=False)
+        want = factor_mean(same)
+        s_pre = np.linalg.svd(want, compute_uv=False)
         assume(s_pre[0] > 0)
-        merged, rec = mg.merge_target(same, mg.MergeConfig(
-            method=mg.MergeMethod.PRE_MERGE_AVERAGE))
-        assert np.abs(delta(merged) - factor_mean).max() <= 1e-10 * s_pre[0]
+        merged, rec = mg.merge_target(same, PRE_AVG)
+        assert np.abs(delta(merged) - want).max() <= 1e-10 * s_pre[0]
         assert np.abs(np.array(rec.spectrum) - s_pre).max() <= 1e-10 * s_pre[0]
         assert merged.rank == rec.kept_rank == len(inputs[0].E)
