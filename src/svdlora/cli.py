@@ -82,17 +82,21 @@ def cmd_train(args) -> int:
     result = train_adapter(model, spec, cfg)
     result.adapter_set.metadata.update(_task_metadata(spec))
     save_adapter_set(result.adapter_set, args.out)
-    Path(f"{args.out}.curve.csv").write_text(
-        "\n".join(curve_csv_lines(result)) + "\n", encoding="utf-8"
-    )
+    try:
+        Path(f"{args.out}.curve.csv").write_text(
+            "\n".join(curve_csv_lines(result)) + "\n", encoding="utf-8")
+    except OSError:
+        Path(args.out).unlink()  # a failed train leaves no adapter file
+        raise
     print(f"best_epoch={result.best_epoch}")
     print(f"test_acc={result.test_acc:.4f}")
     return 0
 
 
 def cmd_merge(args) -> int:
-    cfg = MergeConfig(method=MergeMethod(args.method), threshold_v=args.threshold,
-                      max_rank=args.max_rank, lam=args.lam)
+    if args.report and Path(args.report).resolve() == Path(args.out).resolve():
+        raise ParameterError(f"--report and --out name one file: {args.out}")
+    cfg = MergeConfig(MergeMethod(args.method), args.threshold, args.lam)
     merged, report = merge_sets([load_adapter_set(p) for p in args.inputs], cfg)
     save_adapter_set(merged, args.out)
     if args.report:
@@ -180,13 +184,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train, merge and evaluate SVD-structured low-rank adapters.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    recipe = TrainConfig()  # the training defaults have one owner
+    task, recipe = TaskSpec(task_seed=1), TrainConfig()  # the defaults' owners
 
     p = sub.add_parser("train", help="train adapters on one synthetic task")
-    p.add_argument("--task-seed", type=int, default=1)
-    p.add_argument("--classes", type=_positive_int, default=2)
-    p.add_argument("--components", type=_positive_int, default=1)
-    p.add_argument("--separation", type=float, default=3.0)
+    p.add_argument("--task-seed", type=int, default=task.task_seed)
+    p.add_argument("--classes", type=_positive_int, default=task.num_classes)
+    p.add_argument("--components", type=_positive_int, default=task.components)
+    p.add_argument("--separation", type=float, default=task.separation)
     p.add_argument("--rank", type=_positive_int, default=recipe.rank)
     p.add_argument("--epochs", type=_positive_int, default=recipe.epochs)
     p.add_argument("--lr", type=float, default=recipe.learning_rate)
@@ -201,7 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=[m.value for m in MergeMethod],
                    default=MergeMethod.MED_LEGO.value)
     p.add_argument("--threshold", type=_fraction, default=DEFAULT_THRESHOLD)
-    p.add_argument("--max-rank", type=_positive_int, default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None)
@@ -224,7 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gap_demo)
 
     p = sub.add_parser("bench", help="run the full desk-scale benchmark")
-    p.add_argument("--suite", choices=["default"], default="default")
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(func=cmd_bench)

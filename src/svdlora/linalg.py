@@ -211,23 +211,20 @@ def svd(m: np.ndarray) -> SvdFactors:
     return SvdFactors(U=u, S=np.ldexp(norms, exp), V=v)
 
 
-def check_cut(v: float, max_rank: int | None = None) -> None:
-    """ParameterError unless ``v`` lies in (0, 1] and ``max_rank`` is None
-    or positive: the domain of :func:`truncate`'s cut."""
+def check_cut(v: float) -> None:
+    """ParameterError unless ``v`` lies in (0, 1]: the domain of
+    :func:`truncate`'s cut."""
     if not (0.0 < v <= 1.0):
         raise ParameterError(f"threshold must lie in (0, 1], got {v}")
-    if max_rank is not None and max_rank < 1:
-        raise ParameterError(f"max_rank must be positive, got {max_rank}")
 
 
-def truncate(f: SvdFactors, v: float, max_rank: int | None = None) -> SvdFactors:
+def truncate(f: SvdFactors, v: float) -> SvdFactors:
     """Keep the smallest leading k with cumulative singular mass >= v.
 
-    Mass is the plain sum of singular values (not squared). k is capped by
-    ``max_rank`` when given, and is at least 1; an all-zero spectrum keeps a
-    single zero component.
+    Mass is the plain sum of singular values (not squared). k is at least 1;
+    an all-zero spectrum keeps a single zero component.
     """
-    check_cut(v, max_rank)
+    check_cut(v)
     cum = np.cumsum(f.S)
     total = cum[-1] if len(cum) else 0.0
     if total <= 0.0:
@@ -235,6 +232,4 @@ def truncate(f: SvdFactors, v: float, max_rank: int | None = None) -> SvdFactors
     else:
         k = int(np.searchsorted(cum, v * total, side="left")) + 1
         k = min(k, len(f.S))
-    if max_rank is not None:
-        k = min(k, max_rank)
     return SvdFactors(U=f.U[:, :k].copy(), S=f.S[:k].copy(), V=f.V[:, :k].copy())

@@ -43,32 +43,30 @@ DEFAULT_THRESHOLD = 0.997
 
 @dataclass(frozen=True)
 class MergeConfig:
-    """``threshold_v`` and ``max_rank`` set med-lego's cut and ``lam`` task
-    arithmetic's scale; setting one for a method it does not apply to is a
+    """``threshold_v`` sets med-lego's cut and ``lam`` task arithmetic's
+    scale; setting one for a method it does not apply to is a
     ``ParameterError``, not silently ignored."""
 
     method: MergeMethod = MergeMethod.MED_LEGO
     threshold_v: float = DEFAULT_THRESHOLD
-    max_rank: int | None = None
     lam: float | None = None  # task-arithmetic scale; defaults to 1/N
 
     def __post_init__(self):
         if not isinstance(self.method, MergeMethod):
             raise ParameterError(f"unknown merge method {self.method!r}")
-        linalg.check_cut(self.threshold_v, self.max_rank)
+        linalg.check_cut(self.threshold_v)
         if self.lam is not None and self.method is not MergeMethod.TASK_ARITHMETIC:
             raise ParameterError("lambda applies to task-arith only")
         if self.lam is not None and not math.isfinite(self.lam):
             raise ParameterError(f"lambda must be finite, got {self.lam}")
-        if self.method is not MergeMethod.MED_LEGO and (
-                self.threshold_v != DEFAULT_THRESHOLD or self.max_rank is not None):
-            raise ParameterError("threshold and max_rank apply to med-lego only")
+        if (self.method is not MergeMethod.MED_LEGO
+                and self.threshold_v != DEFAULT_THRESHOLD):
+            raise ParameterError("threshold applies to med-lego only")
 
     def as_dict(self) -> dict:
         return {
             "method": self.method.value,
             "threshold_v": self.threshold_v,
-            "max_rank": self.max_rank,
             "lambda": self.lam,
         }
 
@@ -154,7 +152,7 @@ def merge_target(adapters: list[SvdLoraAdapter],
     else:
         f = _stacked_svd(adapters, 1.0 / len(adapters) if cfg.lam is None else cfg.lam)
         if cfg.method is MergeMethod.MED_LEGO:
-            kept = linalg.truncate(f, cfg.threshold_v, cfg.max_rank)
+            kept = linalg.truncate(f, cfg.threshold_v)
         else:
             kept = drop_zeros(f)
         merged = from_svd(target, kept)

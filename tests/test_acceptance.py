@@ -259,12 +259,12 @@ def bench_runs(tmp_path_factory):
     d1 = tmp_path_factory.mktemp("bench1")
     d2 = tmp_path_factory.mktemp("bench2")
     start = time.perf_counter()
-    assert main(["bench", "--suite", "default", "--out", str(d1),
+    assert main(["bench", "--out", str(d1),
                  "--jobs", "1"]) == 0
     elapsed = time.perf_counter() - start
     # second run parallelized: byte-equality doubles as a determinism
     # check for --jobs
-    assert main(["bench", "--suite", "default", "--out", str(d2),
+    assert main(["bench", "--out", str(d2),
                  "--jobs", "4"]) == 0
     return Path(d1), Path(d2), elapsed
 

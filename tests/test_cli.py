@@ -19,9 +19,9 @@ from svdlora.adapter import (AdapterSet, ModelSignature, TargetId, delta,
                              init_adapter)
 from svdlora.cli import build_parser, main
 from svdlora.data import TaskSpec, generate_task
-from svdlora.model import TinyModel
+from svdlora.model import DEFAULT_BACKBONE_SEED, TinyModel
 from svdlora.storage import load_adapter_set, save_adapter_set
-from svdlora.train import evaluate
+from svdlora.train import TrainConfig, evaluate
 
 from conftest import rewrite_header
 
@@ -60,6 +60,25 @@ class TestParser:
     def test_built_once_per_process(self):
         assert build_parser() is build_parser()
 
+    def test_train_defaults_come_from_their_owners(self):
+        args = build_parser().parse_args(["train", "--out", "x"])
+        task, recipe = TaskSpec(task_seed=1), TrainConfig()
+        assert (args.task_seed, args.classes, args.components, args.separation) == (
+            task.task_seed, task.num_classes, task.components, task.separation)
+        assert (args.rank, args.epochs, args.lr, args.reg, args.seed) == (
+            recipe.rank, recipe.epochs, recipe.learning_rate, recipe.reg_weight,
+            recipe.seed)
+        assert args.backbone_seed == DEFAULT_BACKBONE_SEED
+
+    @pytest.mark.parametrize("argv", [
+        ["merge", "--inputs", "a.mlgo", "--out", "m.mlgo", "--max-rank", "1"],
+        ["bench", "--suite", "default", "--out", "d"]], ids=["max-rank", "suite"])
+    def test_removed_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_commands_repeat_in_one_process(self, workdir, tmp_path, capsys):
         def merge(method, name):
             assert main(["merge", "--inputs", str(workdir / "a.mlgo"),
@@ -94,6 +113,13 @@ class TestTrain:
     def test_deterministic_outputs(self, workdir, tmp_path):
         main(["train", *EASY, "--out", str(tmp_path / "r.mlgo")])
         assert (tmp_path / "r.mlgo").read_bytes() == (workdir / "a.mlgo").read_bytes()
+
+    def test_failed_curve_write_leaves_no_adapter_file(self, tmp_path, capsys):
+        out = tmp_path / "x.mlgo"
+        (tmp_path / "x.mlgo.curve.csv").mkdir()  # the curve write fails
+        fails_cleanly(["train", "--epochs", "1", "--out", str(out)], capsys,
+                      "x.mlgo.curve.csv")
+        assert not out.exists()
 
     def test_rank_zero_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -141,16 +167,30 @@ class TestMerge:
         pytest.param(method, flag, id=f"{method}{suffix}")
         for method, flag, suffix in [
             ("med-lego", ["--lambda", "2"], ""), ("pre-avg", ["--lambda", "2"], ""),
-            ("task-arith", ["--max-rank", "1"], "-max-rank"),
             ("task-arith", ["--threshold", "0.9"], "-threshold"),
-            ("pre-avg", ["--max-rank", "1"], "-max-rank"),
             ("pre-avg", ["--threshold", "0.9"], "-threshold")]])
     def test_lambda_needs_task_arithmetic(self, workdir, tmp_path, capsys, method, flag):
         fails_cleanly(["merge", "--inputs", str(workdir / "a.mlgo"), "--method", method,
                        *flag, "--out", str(tmp_path / "m.mlgo")], capsys,
                       "lambda applies to task-arith only" if flag[0] == "--lambda"
-                      else "threshold and max_rank apply to med-lego only")
+                      else "threshold applies to med-lego only")
         assert not (tmp_path / "m.mlgo").exists()
+
+    def test_report_naming_out_file_fails_before_loading(self, workdir, tmp_path,
+                                                          capsys):
+        out = tmp_path / "m.mlgo"
+        for report in (out, tmp_path / "sub" / ".." / "m.mlgo"):
+            fails_cleanly(["merge", "--inputs", str(tmp_path / "absent.mlgo"),
+                           "--out", str(out), "--report", str(report)], capsys,
+                          "--report and --out name one file")
+            assert not out.exists()
+        # an existing merged file is left as it was, not overwritten by JSON
+        assert main(["merge", "--inputs", str(workdir / "a.mlgo"), "--out", str(out)]) == 0
+        before = out.read_bytes()
+        fails_cleanly(["merge", "--inputs", str(workdir / "a.mlgo"), "--out", str(out),
+                       "--report", str(out)], capsys, "--report and --out name one file")
+        assert out.read_bytes() == before
+        assert main(["inspect", "--input", str(out)]) == 0
 
     def test_huge_lambda_merges(self, workdir, tmp_path, capsys):
         # the deltas' squares overflow float64; the SVD must not square them
@@ -477,7 +517,7 @@ GRAMMAR = {
                   "--lr", "--reg", "--seed", "--backbone-seed")}),
     "merge": ({"--inputs": FILES, "--out": OUTS},
               {"--method": ("med-lego", "pre-avg", "task-arith", ""),
-               "--threshold": NUMBERS, "--max-rank": NUMBERS, "--lambda": NUMBERS,
+               "--threshold": NUMBERS, "--lambda": NUMBERS,
                "--report": OUTS}),
     "eval": ({"--adapters": FILES, "--task-seed": NUMBERS},
              {"--head": FILES + ("embedded",), "--split": ("train", "val", "test", ""),

@@ -229,11 +229,6 @@ class TestTruncate:
         assert out.rank == 1
         assert out.S[0] == 0.0
 
-    def test_max_rank_cap(self):
-        assert linalg.truncate(self._factors([1.0, 1.0, 1.0]), 1.0, max_rank=2).rank == 2
-        with pytest.raises(ParameterError, match="max_rank must be positive, got 0"):
-            linalg.truncate(self._factors([1.0]), 1.0, max_rank=0)
-
     @pytest.mark.parametrize("v", [0.0, -0.1, 1.0001])
     def test_threshold_domain(self, v):
         with pytest.raises(ParameterError):

@@ -309,11 +309,8 @@ class TestMergeConfig:
         assert mg.MergeConfig(method=mg.MergeMethod.TASK_ARITHMETIC, lam=2.0).lam == 2.0
         # the baselines cut nothing, so med-lego's cut settings are errors too
         for method in (mg.MergeMethod.TASK_ARITHMETIC, mg.MergeMethod.PRE_MERGE_AVERAGE):
-            for cut in ({"threshold_v": 0.9}, {"max_rank": 1}):
-                with pytest.raises(ParameterError, match="med-lego"):
-                    mg.MergeConfig(method=method, **cut)
-            assert mg.MergeConfig(method=method).max_rank is None
-        assert mg.MergeConfig(threshold_v=0.9, max_rank=1).max_rank == 1
+            with pytest.raises(ParameterError, match="med-lego"):
+                mg.MergeConfig(method=method, threshold_v=0.9)
 
 
 def _merge_with(method):
@@ -362,8 +359,8 @@ class TestDenseOracle:
     """Merging and canonical form against LAPACK on the dense deltas, for
     d_m != d_n, input ranks summing past min(d_m, d_n), a zero component,
     re-factored twins (B·diag(g), E, diag(1/g)·A) of the same deltas, the
-    inputs in a drawn order, a drawn lambda != 1/N, a drawn max_rank cap,
-    and pre-avg of equal-rank inputs against their dense factor average."""
+    inputs in a drawn order, a drawn lambda != 1/N, and pre-avg of
+    equal-rank inputs against their dense factor average."""
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(3, 12), st.integers(3, 12), st.integers(2, 4),
@@ -377,7 +374,6 @@ class TestDenseOracle:
         order = data.draw(st.permutations(range(n)))
         lam = data.draw(st.floats(-4.0, 4.0).filter(
             lambda x: abs(x) >= 0.05 and abs(x - 1.0 / n) >= 0.05))
-        cap = data.draw(st.integers(1, width))
         rng = np.random.default_rng(seed)
 
         def adapter(e):
@@ -401,12 +397,9 @@ class TestDenseOracle:
         k = next(j for j in range(1, width + 1)
                  if s[:j].sum() >= mg.DEFAULT_THRESHOLD * s.sum())  # brute force
         assume(k == width or s[k - 1] - s[k] > 1e-6 * s[0])
-        kc = min(k, cap)
-        assume(kc == width or s[kc - 1] - s[kc] > 1e-6 * s[0])
 
         arith = mg.MergeConfig(method=mg.MergeMethod.TASK_ARITHMETIC)
         scaled = mg.MergeConfig(method=mg.MergeMethod.TASK_ARITHMETIC, lam=lam)
-        capped = mg.MergeConfig(max_rank=cap)
         s_lam = abs(lam) * n * s  # spectrum of lam * sum_i delta_i
         for family in (inputs, twins, [inputs[i] for i in order]):
             merged, rec = mg.merge_target(family, arith)
@@ -415,12 +408,11 @@ class TestDenseOracle:
             merged, rec = mg.merge_target(family, scaled)
             assert np.abs(delta(merged) - lam * n * mean).max() <= 1e-10 * s_lam[0]
             assert np.abs(np.array(rec.spectrum) - s_lam).max() <= 1e-10 * s_lam[0]
-            for cfg, kept in ((mg.MergeConfig(), k), (capped, kc)):
-                merged, rec = mg.merge_target(family, cfg)
-                assert np.abs(np.array(rec.spectrum) - s).max() <= 1e-9 * s[0]
-                assert merged.rank == rec.kept_rank == kept
-                cut = (u[:, :kept] * s[:kept]) @ vt[:kept]
-                assert np.abs(delta(merged) - cut).max() <= 1e-9 * s[0]
+            merged, rec = mg.merge_target(family, mg.MergeConfig())
+            assert np.abs(np.array(rec.spectrum) - s).max() <= 1e-9 * s[0]
+            assert merged.rank == rec.kept_rank == k
+            cut = (u[:, :k] * s[:k]) @ vt[:k]
+            assert np.abs(delta(merged) - cut).max() <= 1e-9 * s[0]
         for a, twin in zip(inputs, twins):
             x, y = canonicalize(a), canonicalize(twin)
             assert x.rank == y.rank
