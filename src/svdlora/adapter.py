@@ -172,25 +172,26 @@ def _core(rb: np.ndarray, E: np.ndarray, ra: np.ndarray) -> np.ndarray:
     return (rb * E) @ ra.T
 
 
-def from_svd(target: TargetId, f: linalg.SvdFactors) -> SvdLoraAdapter:
-    """Adapter with B = U, E = S, A = V.T."""
-    return SvdLoraAdapter(target=target, B=f.U, E=f.S, A=f.V.T)
+def from_svd(target: TargetId, f: linalg.SvdFactors, k: int) -> SvdLoraAdapter:
+    """Adapter from the leading ``k`` components: B = U, E = S, A = V.T."""
+    return SvdLoraAdapter(target=target, B=f.U[:, :k], E=f.S[:k].copy(),
+                          A=f.V[:, :k].T)
 
 
-def drop_zeros(f: linalg.SvdFactors) -> linalg.SvdFactors:
-    """Drop components at or below 1e-15 of the largest, keeping at least one."""
-    keep = f.S > f.S[0] * 1e-15 if f.S[0] > 0 else np.zeros(len(f.S), dtype=bool)
-    k = max(1, int(keep.sum()))
-    return linalg.SvdFactors(U=f.U[:, :k], S=f.S[:k].copy(), V=f.V[:, :k])
+def live_rank(s: np.ndarray) -> int:
+    """Count of the non-increasing spectrum ``s``'s components above 1e-15
+    of the largest, at least one."""
+    return max(1, int(np.count_nonzero(s > s[0] * 1e-15)))
 
 
 def canonicalize(a: SvdLoraAdapter) -> SvdLoraAdapter:
     """Restore exact SVD structure without changing the delta.
 
-    :func:`svd_factors`, then :func:`drop_zeros`. The output has
+    :func:`svd_factors`, cut to its :func:`live_rank`. The output has
     orthonormal B columns / A rows and a non-negative, non-increasing E.
     """
-    return from_svd(a.target, drop_zeros(svd_factors(a.B, a.E, a.A)))
+    f = svd_factors(a.B, a.E, a.A)
+    return from_svd(a.target, f, live_rank(f.S))
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -17,8 +18,7 @@ from . import bench as bench_mod
 from .adapter import SvdLoraAdapter, TargetId, param_count, spectrum
 from .data import TaskSpec, generate_task
 from .errors import ModelError, ParameterError, ToolkitError
-from .merge import (DEFAULT_THRESHOLD, MergeConfig, MergeMethod, merge_sets,
-                    premerge_postmerge_gap)
+from .merge import MergeConfig, MergeMethod, merge_sets, premerge_postmerge_gap
 from .model import DEFAULT_BACKBONE_SEED, TinyModel, backbone_param_count
 from .storage import load_adapter_set, save_adapter_set, save_merge_report
 from .train import TrainConfig, curve_csv_lines, evaluate, train_adapter
@@ -94,8 +94,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_merge(args) -> int:
+    # before any load: a merge never writes over a file it reads, by any name
     if args.report and Path(args.report).resolve() == Path(args.out).resolve():
         raise ParameterError(f"--report and --out name one file: {args.out}")
+    for flag, path in (("--out", args.out), ("--report", args.report)):
+        if path and os.path.exists(path) and any(
+                os.path.samefile(path, p) for p in args.inputs):
+            raise ParameterError(f"{flag} names an input file: {path}")
     cfg = MergeConfig(MergeMethod(args.method), args.threshold, args.lam)
     merged, report = merge_sets([load_adapter_set(p) for p in args.inputs], cfg)
     save_adapter_set(merged, args.out)
@@ -204,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inputs", nargs="+", required=True)
     p.add_argument("--method", choices=[m.value for m in MergeMethod],
                    default=MergeMethod.MED_LEGO.value)
-    p.add_argument("--threshold", type=_fraction, default=DEFAULT_THRESHOLD)
+    p.add_argument("--threshold", type=_fraction, default=None)
     p.add_argument("--lambda", dest="lam", type=float, default=None)
     p.add_argument("--out", required=True)
     p.add_argument("--report", default=None)

@@ -56,10 +56,6 @@ class SvdFactors:
     S: np.ndarray
     V: np.ndarray
 
-    @property
-    def rank(self) -> int:
-        return len(self.S)
-
     def reconstruct(self) -> np.ndarray:
         return (self.U * self.S) @ self.V.T
 
@@ -213,23 +209,21 @@ def svd(m: np.ndarray) -> SvdFactors:
 
 def check_cut(v: float) -> None:
     """ParameterError unless ``v`` lies in (0, 1]: the domain of
-    :func:`truncate`'s cut."""
+    :func:`kept_rank`'s cut."""
     if not (0.0 < v <= 1.0):
         raise ParameterError(f"threshold must lie in (0, 1], got {v}")
 
 
-def truncate(f: SvdFactors, v: float) -> SvdFactors:
-    """Keep the smallest leading k with cumulative singular mass >= v.
+def kept_rank(s: np.ndarray, v: float) -> int:
+    """The smallest leading k of the non-increasing spectrum ``s`` whose
+    cumulative singular mass is at least ``v`` of the total.
 
-    Mass is the plain sum of singular values (not squared). k is at least 1;
-    an all-zero spectrum keeps a single zero component.
+    Mass is the plain sum of singular values (not squared). k is at least 1,
+    and 1 for an all-zero spectrum.
     """
     check_cut(v)
-    cum = np.cumsum(f.S)
+    cum = np.cumsum(s)
     total = cum[-1] if len(cum) else 0.0
     if total <= 0.0:
-        k = 1
-    else:
-        k = int(np.searchsorted(cum, v * total, side="left")) + 1
-        k = min(k, len(f.S))
-    return SvdFactors(U=f.U[:, :k].copy(), S=f.S[:k].copy(), V=f.V[:, :k].copy())
+        return 1
+    return min(int(np.searchsorted(cum, v * total, side="left")) + 1, len(s))

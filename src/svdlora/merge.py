@@ -20,8 +20,8 @@ from enum import Enum
 import numpy as np
 
 from . import linalg
-from .adapter import (AdapterSet, SvdLoraAdapter, TargetId, delta, drop_zeros,
-                      from_svd, spectrum, svd_factors)
+from .adapter import (AdapterSet, SvdLoraAdapter, TargetId, delta, from_svd,
+                      live_rank, spectrum, svd_factors)
 from .errors import MergeError, ParameterError
 
 
@@ -44,24 +44,25 @@ DEFAULT_THRESHOLD = 0.997
 @dataclass(frozen=True)
 class MergeConfig:
     """``threshold_v`` sets med-lego's cut and ``lam`` task arithmetic's
-    scale; setting one for a method it does not apply to is a
-    ``ParameterError``, not silently ignored."""
+    scale; setting one for a method it does not apply to, even to its
+    default, is a ``ParameterError``, not silently ignored."""
 
     method: MergeMethod = MergeMethod.MED_LEGO
-    threshold_v: float = DEFAULT_THRESHOLD
+    threshold_v: float | None = None  # med-lego's cut; None is DEFAULT_THRESHOLD
     lam: float | None = None  # task-arithmetic scale; defaults to 1/N
 
     def __post_init__(self):
         if not isinstance(self.method, MergeMethod):
             raise ParameterError(f"unknown merge method {self.method!r}")
+        if self.threshold_v is None:
+            object.__setattr__(self, "threshold_v", DEFAULT_THRESHOLD)
+        elif self.method is not MergeMethod.MED_LEGO:
+            raise ParameterError("threshold applies to med-lego only")
         linalg.check_cut(self.threshold_v)
         if self.lam is not None and self.method is not MergeMethod.TASK_ARITHMETIC:
             raise ParameterError("lambda applies to task-arith only")
         if self.lam is not None and not math.isfinite(self.lam):
             raise ParameterError(f"lambda must be finite, got {self.lam}")
-        if (self.method is not MergeMethod.MED_LEGO
-                and self.threshold_v != DEFAULT_THRESHOLD):
-            raise ParameterError("threshold applies to med-lego only")
 
     def as_dict(self) -> dict:
         return {
@@ -148,22 +149,20 @@ def merge_target(adapters: list[SvdLoraAdapter],
         merged = SvdLoraAdapter(target=target, B=sum(a.B for a in adapters) / n,
                                 E=sum(a.E for a in adapters) / n,
                                 A=sum(a.A for a in adapters) / n)
-        s = kept_s = spectrum(merged.B, merged.E, merged.A)
+        s = spectrum(merged.B, merged.E, merged.A)
     else:
         f = _stacked_svd(adapters, 1.0 / len(adapters) if cfg.lam is None else cfg.lam)
-        if cfg.method is MergeMethod.MED_LEGO:
-            kept = linalg.truncate(f, cfg.threshold_v)
-        else:
-            kept = drop_zeros(f)
-        merged = from_svd(target, kept)
-        s, kept_s = f.S, kept.S
+        s = f.S
+        k = (linalg.kept_rank(s, cfg.threshold_v) if cfg.method is MergeMethod.MED_LEGO
+             else live_rank(s))
+        merged = from_svd(target, f, k)
     total = float(s.sum())
     record = TargetRecord(
         target=target,
         input_ranks=tuple(a.rank for a in adapters),
         spectrum=full_spectrum(s, merged.shape),
         kept_rank=merged.rank,
-        retained_mass=float(kept_s.sum()) / total if total > 0 else 1.0,
+        retained_mass=float(s[:merged.rank].sum()) / total if total > 0 else 1.0,
     )
     return merged, record
 

@@ -101,8 +101,13 @@ class TinyModel:
         self.num_layers = num_layers
         self.hidden_dim = MLP_RATIO * embed_dim
         self.seed = seed
-        rng = np.random.default_rng([_BACKBONE_TAG, seed])
         d, h = embed_dim, self.hidden_dim
+        digest = hashlib.sha256(
+            f"tiny-transformer d={embed_dim} L={num_layers} h={h} seed={seed}".encode()
+        ).hexdigest()[:16]
+        # ModelSignature rejects a dimension below 1 before any weight is drawn
+        self.signature = ModelSignature(embed_dim, num_layers, digest)
+        rng = np.random.default_rng([_BACKBONE_TAG, seed])
         layers = []
         for _ in range(num_layers):
             mats = {
@@ -117,10 +122,6 @@ class TinyModel:
                 m.setflags(write=False)
             layers.append(LayerWeights(**mats))
         self.layers = tuple(layers)
-        digest = hashlib.sha256(
-            f"tiny-transformer d={embed_dim} L={num_layers} h={h} seed={seed}".encode()
-        ).hexdigest()[:16]
-        self.signature = ModelSignature(embed_dim, num_layers, digest)
 
     def targets(self) -> list[TargetId]:
         return [

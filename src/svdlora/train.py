@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import ClassVar
 
 import numpy as np
@@ -73,7 +73,6 @@ class TrainResult:
     val_accs: list[float]
     best_epoch: int
     test_acc: float
-    ortho_penalties: list[float] = field(default_factory=list)  # per epoch, raw factors
 
 
 def loss(logits: np.ndarray, labels: np.ndarray, adapters: AdapterSet,
@@ -184,7 +183,6 @@ def train_adapter(model: TinyModel, spec: TaskSpec, cfg: TrainConfig,
 
     train_losses: list[float] = []
     val_accs: list[float] = []
-    ortho_penalties: list[float] = []
     best = (-1.0, -1)  # (val accuracy, epoch)
     best_theta = theta.copy()
 
@@ -211,7 +209,6 @@ def train_adapter(model: TinyModel, spec: TaskSpec, cfg: TrainConfig,
             epoch_loss += value
             batches += 1
         train_losses.append(epoch_loss / batches)
-        ortho_penalties.append(orthogonality_penalty(current))
         val_acc = evaluate(model, current, dataset.val)
         val_accs.append(val_acc)
         if val_acc > best[0]:
@@ -226,7 +223,6 @@ def train_adapter(model: TinyModel, spec: TaskSpec, cfg: TrainConfig,
         val_accs=val_accs,
         best_epoch=best[1],
         test_acc=test_acc,
-        ortho_penalties=ortho_penalties,
     )
 
 

@@ -154,10 +154,9 @@ def test_criterion_04_truncation_selection_rule():
     spectra += [np.array([1.0, 0.0, 0.0]), np.ones(8), np.array([42.0])]
     checked = mismatches = 0
     for s in spectra:
-        f = linalg.SvdFactors(U=np.eye(len(s)), S=s.copy(), V=np.eye(len(s)))
         for v in (0.5, 0.9, 0.997, 1.0):
             checked += 1
-            if linalg.truncate(f, v).rank != _brute_force_k(s, v):
+            if linalg.kept_rank(s, v) != _brute_force_k(s, v):
                 mismatches += 1
     ok = mismatches == 0 and len(spectra) == 100
     report(4, ok, f"{checked} spectrum/threshold pairs, {mismatches} mismatches "

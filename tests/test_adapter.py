@@ -180,6 +180,17 @@ class TestCanonicalize:
         assert canon.rank == 1
         assert np.array_equal(ad.delta(canon), np.zeros((6, 6)))
 
+    def test_zero_component_dropped(self):
+        a = ad.SvdLoraAdapter(ad.TargetId(0, "Q"), np.eye(6)[:, :3],
+                              np.array([2.0, 0.0, 1.0]), np.eye(6)[:3])
+        assert ad.canonicalize(a).rank == 2
+
+    @pytest.mark.parametrize("s, k", [([1.0, 1e-15], 1), ([1.0, 2e-15], 2),
+                                      ([0.0, 0.0], 1)])
+    def test_live_rank_boundary(self, s, k):
+        # components at or below 1e-15 of the largest are dropped
+        assert ad.live_rank(np.array(s)) == k
+
 
 def make_set(adapters=(), head_classes=None, embed_dim=8, layers=2):
     sig = ad.ModelSignature(embed_dim, layers, "cafe")

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -168,7 +169,8 @@ class TestMerge:
         for method, flag, suffix in [
             ("med-lego", ["--lambda", "2"], ""), ("pre-avg", ["--lambda", "2"], ""),
             ("task-arith", ["--threshold", "0.9"], "-threshold"),
-            ("pre-avg", ["--threshold", "0.9"], "-threshold")]])
+            ("pre-avg", ["--threshold", "0.9"], "-threshold"),
+            ("pre-avg", ["--threshold", "0.997"], "-default-threshold")]])
     def test_lambda_needs_task_arithmetic(self, workdir, tmp_path, capsys, method, flag):
         fails_cleanly(["merge", "--inputs", str(workdir / "a.mlgo"), "--method", method,
                        *flag, "--out", str(tmp_path / "m.mlgo")], capsys,
@@ -191,6 +193,26 @@ class TestMerge:
                        "--report", str(out)], capsys, "--report and --out name one file")
         assert out.read_bytes() == before
         assert main(["inspect", "--input", str(out)]) == 0
+
+    def test_written_path_naming_an_input_fails_before_loading(self, workdir,
+                                                               tmp_path, capsys):
+        a, b = tmp_path / "a.mlgo", tmp_path / "b.mlgo"
+        shutil.copy(workdir / "a.mlgo", a)
+        shutil.copy(workdir / "b.mlgo", b)
+        before = a.read_bytes()
+        (tmp_path / "sub").mkdir()
+        os.link(a, tmp_path / "hard.mlgo")  # another name of the same file
+        for flag, written in [
+                ("--report", ["--out", str(tmp_path / "m.mlgo"), "--report", str(a)]),
+                ("--out", ["--out", str(a), "--report", str(tmp_path / "r.json")]),
+                ("--out", ["--out", str(tmp_path / "sub" / ".." / "a.mlgo")]),
+                ("--report", ["--out", str(tmp_path / "m.mlgo"),
+                              "--report", str(tmp_path / "hard.mlgo")])]:
+            fails_cleanly(["merge", "--inputs", str(a), str(b), *written], capsys,
+                          f"{flag} names an input file")
+            assert a.read_bytes() == before
+            assert not (tmp_path / "m.mlgo").exists()
+        assert main(["inspect", "--input", str(a)]) == 0
 
     def test_huge_lambda_merges(self, workdir, tmp_path, capsys):
         # the deltas' squares overflow float64; the SVD must not square them

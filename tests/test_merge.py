@@ -312,6 +312,15 @@ class TestMergeConfig:
             with pytest.raises(ParameterError, match="med-lego"):
                 mg.MergeConfig(method=method, threshold_v=0.9)
 
+    @pytest.mark.parametrize("method", [mg.MergeMethod.TASK_ARITHMETIC,
+                                        mg.MergeMethod.PRE_MERGE_AVERAGE])
+    def test_default_threshold_is_set_only_by_leaving_it_out(self, method):
+        # naming the default value with a baseline is an error as any value
+        # is, while leaving it out still records the default
+        with pytest.raises(ParameterError, match="med-lego"):
+            mg.MergeConfig(method=method, threshold_v=mg.DEFAULT_THRESHOLD)
+        assert mg.MergeConfig(method=method).as_dict()["threshold_v"] == 0.997
+
 
 def _merge_with(method):
     cfg = mg.MergeConfig(method=mg.MergeMethod(method))

@@ -442,6 +442,5 @@ class TestMergeReportIo:
         loaded = json.loads(path.read_text())
         rec = loaded["records"][0]
         s = np.asarray(rec["spectrum"])
-        f = linalg.SvdFactors(U=np.eye(len(s)), S=s, V=np.eye(len(s)))
         v = loaded["config"]["threshold_v"]
-        assert linalg.truncate(f, v).rank == rec["kept_rank"]
+        assert linalg.kept_rank(s, v) == rec["kept_rank"]

@@ -375,12 +375,19 @@ class TestTraining:
         assert res.val_accs == res2.val_accs
         assert res.adapter_set.digest() == res2.adapter_set.digest()
 
-    def test_orthogonality_improves_under_reg(self, model):
+    def test_orthogonality_improves_under_reg(self, model, monkeypatch):
         # with reg_weight=0.1 the raw (pre-canonicalization) factors end up
-        # closer to orthonormal than after the first epoch
+        # closer to orthonormal than at the first step
+        penalties = []
+
+        def recording(adapters, grads=None, reg_weight=0.0):
+            penalties.append(orthogonality_penalty(adapters, grads, reg_weight))
+            return penalties[-1]
+
+        monkeypatch.setattr(train, "orthogonality_penalty", recording)
         spec = TaskSpec(task_seed=9, num_classes=4, components=2)
-        res = train_adapter(model, spec, TrainConfig(seed=2, epochs=30))
-        assert res.ortho_penalties[-1] < res.ortho_penalties[0]
+        train_adapter(model, spec, TrainConfig(seed=2, epochs=30))
+        assert penalties[-1] < penalties[0]
 
     def test_result_curve_lengths(self, easy_run):
         _, cfg, res = easy_run
@@ -528,6 +535,11 @@ class TestConfig:
     def test_negative_seed_rejected(self, build):
         with pytest.raises(ParameterError, match="non-negative"):
             build()
+
+    def test_negative_embed_dim_rejected(self):
+        # the signature's check runs before any weight of that shape is drawn
+        with pytest.raises(ParameterError, match="must be positive"):
+            TinyModel(embed_dim=-3)
 
     def test_digest_stable(self):
         assert TrainConfig(seed=1).digest() == TrainConfig(seed=1).digest()
